@@ -27,10 +27,10 @@ FACT_TOPICS = frozenset(
 )
 
 COMPONENT_KINDS = ("front_end", "back_end")
-PHASES = ("restrict", "transform", "declare", "emit")
+PHASES = ("restrict", "declare", "emit")
 _PHASES_BY_KIND = {
     "front_end": frozenset({"restrict"}),
-    "back_end": frozenset({"transform", "declare", "emit"}),
+    "back_end": frozenset({"declare", "emit"}),
 }
 
 OPTION_TYPES = ("flag", "choice", "text")
@@ -48,12 +48,6 @@ class ResolutionError(ValueError):
 
 class OptionBindingError(ValueError):
     """A variant binds an option or variation point inconsistently."""
-
-
-@dataclass(frozen=True)
-class Concern:
-    id: str
-    description: str = ""
 
 
 @dataclass(frozen=True)

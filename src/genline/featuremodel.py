@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .lexing import TextSyntaxError, TokenStream, tokenize
+from .lexing import MAX_NESTING, TextSyntaxError, TokenStream, tokenize
 from .report import ValidationReport, Violation
 
 MANDATORY = "mandatory"
@@ -112,7 +112,7 @@ def parse_feature_model(source: str) -> FeatureModel:
     ts.expect_keyword("featuremodel")
     name = ts.expect_ident("model name").value
     ts.expect_punct("{")
-    root_node = _parse_node(ts)
+    root_node = _parse_node(ts, 1)
     ts.expect_punct("}")
     constraints: list[tuple[CrossTreeConstraint, int, int]] = []
     if ts.accept_ident("constraints"):
@@ -137,7 +137,9 @@ def parse_feature_model(source: str) -> FeatureModel:
     return _build_model(name, root_node, constraints)
 
 
-def _parse_node(ts: TokenStream) -> _Node:
+def _parse_node(ts: TokenStream, depth: int) -> _Node:
+    if depth > MAX_NESTING:
+        ts.error(f"features nested deeper than {MAX_NESTING} levels")
     name_tok = ts.expect_ident("feature id")
     if ts.accept_punct("!"):
         variability = MANDATORY
@@ -157,7 +159,7 @@ def _parse_node(ts: TokenStream) -> _Node:
                 ts.expect_punct("}")
                 node.groups.append((kind_tok.value, tuple(members), kind_tok.line, kind_tok.column))
             else:
-                node.children.append(_parse_node(ts))
+                node.children.append(_parse_node(ts, depth + 1))
         ts.expect_punct("}")
     return node
 

@@ -1,13 +1,13 @@
 """Generation engine: run a composed generator's schedule over an input model.
 
 The run is phased. Front-end behaviors restrict the input (context
-conditions), transform behaviors may rewrite it, declare behaviors claim
-artifact paths and publish facts on the blackboard, emit behaviors fill
-artifact containers. Nothing touches the filesystem until every container has
-passed syntax validation and every required hook is resolved; then all files
-are written in one atomic stage-and-swap. Incremental runs reuse artifacts
-whose cache key (input element, component, options, consumed facts) is
-unchanged, with outputs byte-identical to a cold run.
+conditions), declare behaviors claim artifact paths and publish facts on the
+blackboard, emit behaviors fill artifact containers. Nothing touches the
+filesystem until every container has passed syntax validation and every
+required hook is resolved; then all files are written in one atomic
+stage-and-swap. Incremental runs reuse artifacts whose cache key (input
+element, component, options, consumed facts) is unchanged, with outputs
+byte-identical to a cold run.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ import shutil
 import tempfile
 import uuid
 from dataclasses import dataclass, replace
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Iterable, Mapping, Sequence
 
 from . import ootl
 from .classdiagram import ClassDiagram, ContextCondition, check_context_conditions
 from .components import (
     FACT_TOPICS,
+    PHASES,
     GeneratorComponent,
     VariantSpec,
     check_bindings,
@@ -135,9 +136,17 @@ class Blackboard:
 def claim_artifact(board: Blackboard, path: str, component: str) -> None:
     """Record that ``component`` will write ``path``; idempotent per pair.
 
-    Raises ClaimConflictError naming both components if the path is already
-    claimed by someone else. Publishes an artifact.claimed fact.
+    Raises EngineError if the path is absolute, climbs out with "..", or names
+    one of the engine's own files, and ClaimConflictError naming both
+    components if the path is already claimed by someone else. Publishes an
+    artifact.claimed fact.
     """
+    pure = PurePosixPath(path)
+    if pure.is_absolute() or ".." in pure.parts or str(pure) in (TRACE_FILE, CACHE_FILE):
+        raise EngineError(
+            f"component {component!r} claims {path!r}: an artifact path must be relative, "
+            f"without '..', and not {TRACE_FILE!r} or {CACHE_FILE!r}"
+        )
     holder = board.claims.get(path)
     if holder is not None:
         if holder == component:
@@ -432,12 +441,6 @@ class GenContext:
         self._require_phase("restrict", "add_condition")
         self.conditions.append(condition)
 
-    # -- transform phase -----------------------------------------------------
-
-    def replace_diagram(self, component: GeneratorComponent, diagram: ClassDiagram) -> None:
-        self._require_phase("transform", "replace_diagram")
-        self.diagram = diagram
-
     # -- declare phase -------------------------------------------------------
 
     def claim(
@@ -473,15 +476,6 @@ class GenContext:
 
     def should_emit(self, path: str) -> bool:
         return path not in self._hits
-
-    def container(self, component: GeneratorComponent, path: str) -> ArtifactContainer:
-        self._require_phase("emit", "container")
-        self._check_ownership(component, path)
-        container = self.containers.get(path)
-        if container is None:
-            container = ArtifactContainer(path, component.id)
-            self.containers[path] = container
-        return container
 
     def adopt(self, component: GeneratorComponent, container: ArtifactContainer) -> None:
         """Register a fully built container for the component's claimed path."""
@@ -535,23 +529,6 @@ def resolve_hooks(board: Blackboard, mode: str) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Engine
 
-def _empty_trace() -> TraceIndex:
-    return TraceIndex({})
-
-
-def _aborted(
-    stage: str, violations: ValidationReport, board: Blackboard
-) -> GenerationReport:
-    return GenerationReport(
-        written=(),
-        skipped_cache_hits=(),
-        facts_count=len(board.facts),
-        violations=violations,
-        trace=_empty_trace(),
-        failed_stage=stage,
-    )
-
-
 def _cache_key(
     meta: _ClaimMeta,
     composed: ComposedGenerator,
@@ -582,6 +559,70 @@ def _cache_key(
     return _digest(material)
 
 
+def _lookup_cache(
+    cache: GenCache, composed: ComposedGenerator, ctx: GenContext, out_dir: Path
+) -> tuple[dict[str, str], dict[str, tuple[str, tuple[TraceRegion, ...]]]]:
+    """Key every claim, and find the claims whose previous output is reusable.
+
+    A claim is a hit when its key matches the cache entry, the file on disk
+    still has the recorded content digest, and the previous trace covers it.
+    Returns the keys and, per hit, the text read for the digest check and its
+    trace regions.
+    """
+    keys = {
+        path: _cache_key(meta, composed, ctx, ctx.board)
+        for path, meta in ctx.claim_meta.items()
+    }
+    hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
+    trace_path = out_dir / TRACE_FILE
+    if not trace_path.is_file():
+        return keys, hits
+    old_trace = TraceIndex.from_text(trace_path.read_text(encoding="utf-8"))
+    for path, key in keys.items():
+        entry = cache.entries.get(path)
+        regions = old_trace.by_artifact.get(path)
+        existing = out_dir / path
+        if entry is None or entry[0] != key or regions is None or not existing.is_file():
+            continue
+        text = existing.read_text(encoding="utf-8")
+        if _digest(text) == entry[1]:
+            hits[path] = (text, regions)
+    return keys, hits
+
+
+def _gate(stage: str, ctx: GenContext) -> tuple[Violation, ...]:
+    """The violations that stop the run once ``stage`` has run its behaviors."""
+    if stage == "restrict":
+        return check_context_conditions(ctx.diagram, ctx.conditions).violations
+    if stage == "emit":
+        return tuple(
+            Violation(
+                GEN_EMIT,
+                (meta.component, path),
+                f"artifact {path!r} was claimed by {meta.component!r} but never emitted",
+            )
+            for path, meta in sorted(ctx.claim_meta.items())
+            if ctx.should_emit(path) and path not in ctx.containers
+        )
+    if stage == "syntax":
+        violations = []
+        for path, container in sorted(ctx.containers.items()):
+            status = validate_syntax(container)
+            if not status.is_valid:
+                violations.append(
+                    Violation(
+                        GEN_SYNTAX,
+                        (path,),
+                        f"artifact {path!r} is not syntactically valid: {status.message} "
+                        f"(line {status.line}, column {status.column})",
+                    )
+                )
+        return tuple(violations)
+    if stage == "hooks":
+        return resolve_hooks(ctx.board, ctx.mode).violations
+    return ()
+
+
 def _run_engine(
     composed: ComposedGenerator,
     diagram: ClassDiagram,
@@ -593,125 +634,54 @@ def _run_engine(
     board = Blackboard()
     ctx = GenContext(composed, diagram, spec, board)
     out_dir = Path(spec.output_path)
+    keys: dict[str, str] = {}
+    hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
 
-    ctx.phase = "restrict"
-    for step in (s for s in steps if s.phase == "restrict"):
-        comp, beh = composed.behavior(step)
-        beh.run(ctx, comp)
-    cc_report = check_context_conditions(ctx.diagram, ctx.conditions)
-    if not cc_report.valid:
-        return _aborted("restrict", cc_report, board), cache if cache is not None else GenCache()
-
-    ctx.phase = "transform"
-    for step in (s for s in steps if s.phase == "transform"):
-        comp, beh = composed.behavior(step)
-        beh.run(ctx, comp)
-
-    ctx.phase = "declare"
-    for step in (s for s in steps if s.phase == "declare"):
-        comp, beh = composed.behavior(step)
+    # The syntax and hook stages run no behaviors, only their gates.
+    for stage in (*PHASES, "syntax", "hooks"):
+        if stage == "emit" and cache is not None:
+            keys, hits = _lookup_cache(cache, composed, ctx, out_dir)
+            ctx._hits = frozenset(hits)
+        ctx.phase = stage
         try:
-            beh.run(ctx, comp)
+            for step in steps:
+                if step.phase == stage:
+                    comp, beh = composed.behavior(step)
+                    beh.run(ctx, comp)
+            violations = _gate(stage, ctx)
         except ClaimConflictError as exc:
-            violation = Violation(
-                GEN_CLAIM, (exc.holder, exc.claimant), str(exc)
+            violations = (Violation(GEN_CLAIM, (exc.holder, exc.claimant), str(exc)),)
+        if violations:
+            report = GenerationReport(
+                written=(),
+                skipped_cache_hits=(),
+                facts_count=len(board.facts),
+                violations=ValidationReport(violations),
+                trace=TraceIndex({}),
+                failed_stage=stage,
             )
-            return _aborted("declare", ValidationReport((violation,)), board), cache if cache is not None else GenCache()
-
-    keys = {
-        path: _cache_key(meta, composed, ctx, board)
-        for path, meta in ctx.claim_meta.items()
-    }
-    hits: set[str] = set()
-    old_trace: TraceIndex | None = None
-    if cache is not None:
-        trace_path = out_dir / TRACE_FILE
-        if trace_path.is_file():
-            old_trace = TraceIndex.from_text(trace_path.read_text(encoding="utf-8"))
-        for path, key in keys.items():
-            entry = cache.entries.get(path)
-            if entry is None or entry[0] != key:
-                continue
-            existing = out_dir / path
-            if not existing.is_file():
-                continue
-            if _digest(existing.read_text(encoding="utf-8")) != entry[1]:
-                continue
-            if old_trace is None or path not in old_trace.by_artifact:
-                continue
-            hits.add(path)
-    ctx._hits = frozenset(hits)
-
-    ctx.phase = "emit"
-    for step in (s for s in steps if s.phase == "emit"):
-        comp, beh = composed.behavior(step)
-        beh.run(ctx, comp)
-    ctx.phase = "done"
-
-    missing = sorted(
-        path for path in ctx.claim_meta if path not in hits and path not in ctx.containers
-    )
-    if missing:
-        violations = tuple(
-            Violation(
-                GEN_EMIT,
-                (ctx.claim_meta[path].component, path),
-                f"artifact {path!r} was claimed by {ctx.claim_meta[path].component!r} "
-                "but never emitted",
-            )
-            for path in missing
-        )
-        return _aborted("emit", ValidationReport(violations), board), cache if cache is not None else GenCache()
-
-    syntax_violations: list[Violation] = []
-    for path in sorted(ctx.containers):
-        container = ctx.containers[path]
-        status = validate_syntax(container)
-        if not status.is_valid:
-            syntax_violations.append(
-                Violation(
-                    GEN_SYNTAX,
-                    (path,),
-                    f"artifact {path!r} is not syntactically valid: {status.message} "
-                    f"(line {status.line}, column {status.column})",
-                )
-            )
-    if syntax_violations:
-        return (
-            _aborted("syntax", ValidationReport(tuple(syntax_violations)), board),
-            cache if cache is not None else GenCache(),
-        )
-
-    hook_report = resolve_hooks(board, spec.mode)
-    if not hook_report.valid:
-        return _aborted("hooks", hook_report, board), cache if cache is not None else GenCache()
+            return report, cache if cache is not None else GenCache()
 
     # Assemble every output byte in memory before touching the filesystem.
-    fresh = {path: ctx.containers[path] for path in ctx.containers if path not in hits}
-    files: dict[str, str] = {path: c.content() for path, c in fresh.items()}
-    trace_regions: dict[str, Sequence[TraceRegion]] = dict(
-        TraceIndex.from_containers(fresh.values()).by_artifact
-    )
-    for path in sorted(hits):
-        files[path] = (out_dir / path).read_text(encoding="utf-8")
-        assert old_trace is not None
-        trace_regions[path] = old_trace.by_artifact[path]
-    trace = TraceIndex(trace_regions)
+    fresh = [c for path, c in ctx.containers.items() if path not in hits]
+    files = {c.path: c.content() for c in fresh}
+    regions = dict(TraceIndex.from_containers(fresh).by_artifact)
+    for path, (text, hit_regions) in hits.items():
+        files[path] = text
+        regions[path] = hit_regions
+    trace = TraceIndex(regions)
     files[TRACE_FILE] = trace.to_text()
 
     _atomic_swap(out_dir, files)
 
-    new_cache = GenCache(
-        {path: (keys[path], _digest(files[path])) for path in keys}
-    )
     report = GenerationReport(
-        written=tuple(sorted(set(files) - hits - {TRACE_FILE})),
+        written=tuple(sorted(c.path for c in fresh)),
         skipped_cache_hits=tuple(sorted(hits)),
         facts_count=len(board.facts),
         violations=ValidationReport(),
         trace=trace,
     )
-    return report, new_cache
+    return report, GenCache({path: (key, _digest(files[path])) for path, key in keys.items()})
 
 
 def _atomic_swap(out_dir: Path, files: Mapping[str, str]) -> None:

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 
+# Deepest nesting the recursive-descent parsers follow; deeper input is a
+# syntax error instead of an exhausted interpreter stack.
+MAX_NESTING = 100
+
 
 class TextSyntaxError(Exception):
     """Syntax error in one of the text formats, carrying a source position."""

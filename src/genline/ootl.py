@@ -25,7 +25,7 @@ names. Checking happens on in-memory containers before anything is written.
 
 from __future__ import annotations
 
-from .lexing import TextSyntaxError, Token, TokenStream, tokenize
+from .lexing import MAX_NESTING, TextSyntaxError, Token, TokenStream, tokenize
 
 _PUNCTS = ("{", "}", "(", ")", ";", ",", ".", "=")
 
@@ -177,7 +177,7 @@ def _stmt(ts: TokenStream) -> None:
     ts.expect_punct(";")
 
 
-def _expr(ts: TokenStream) -> None:
+def _expr(ts: TokenStream, depth: int = 0) -> None:
     if ts.accept_ident("new"):
         _name(ts, "class name")
         ts.expect_punct("(")
@@ -189,13 +189,15 @@ def _expr(ts: TokenStream) -> None:
     while ts.accept_punct("."):
         _name(ts, "member name")
     if ts.at_punct("("):
-        _call_args(ts)
+        _call_args(ts, depth + 1)
 
 
-def _call_args(ts: TokenStream) -> None:
+def _call_args(ts: TokenStream, depth: int = 1) -> None:
+    if depth > MAX_NESTING:
+        ts.error(f"calls nested deeper than {MAX_NESTING} levels")
     ts.expect_punct("(")
     if not ts.at_punct(")"):
-        _expr(ts)
+        _expr(ts, depth)
         while ts.accept_punct(","):
-            _expr(ts)
+            _expr(ts, depth)
     ts.expect_punct(")")

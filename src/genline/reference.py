@@ -389,11 +389,6 @@ def _builder_classes(ctx: GenContext, comp: GeneratorComponent) -> list[ClassDec
 
 def _builder_declare(ctx: GenContext, comp: GeneratorComponent) -> None:
     for cls in _builder_classes(ctx, comp):
-        if not ctx.facts(comp, "constructor.generated", cls.name):
-            raise EngineError(
-                f"builder for {cls.name!r} needs a constructor.generated fact; "
-                "the Builder constraint should have prevented this"
-            )
         ctx.claim(
             comp,
             f"{cls.name}Builder.oo",

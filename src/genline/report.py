@@ -24,14 +24,3 @@ class ValidationReport:
 
     def codes(self) -> tuple[str, ...]:
         return tuple(v.code for v in self.violations)
-
-    @staticmethod
-    def merge(*reports: "ValidationReport") -> "ValidationReport":
-        out: list[Violation] = []
-        for rep in reports:
-            out.extend(rep.violations)
-        return ValidationReport(tuple(out))
-
-
-def ok() -> ValidationReport:
-    return ValidationReport()

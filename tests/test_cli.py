@@ -13,6 +13,8 @@ from genline.cli import (
     run_cli,
 )
 
+from helpers import read_tree
+
 SHOP_CDL = (
     "classdiagram Shop {\n"
     "  class Person { name: string; age: int; }\n"
@@ -161,6 +163,16 @@ def test_derive_malformed_spec(tmp_path):
     assert code == EXIT_USAGE and "bad.vsp" in err
 
 
+def test_enumerate_rejects_over_deep_model(tmp_path):
+    depth = 1500
+    body = "".join(f"F{i}! {{ " for i in range(depth)) + "Leaf!" + " }" * depth
+    fml = tmp_path / "deep.fml"
+    fml.write_text(f"featuremodel Deep {{ {body} }}\n")
+    code, _, err = run("enumerate", "-m", str(fml))
+    assert code == EXIT_USAGE
+    assert "nested deeper than" in err
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -232,6 +244,18 @@ def test_generate_syntax_failure_is_generation_exit(tmp_path):
     assert "generation failed in the syntax stage" in err
     assert "GEN-SYNTAX" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_generate_rejects_over_deep_generated_code(tmp_path):
+    vsp = write_variant(tmp_path)
+    assert run("generate", "-s", str(vsp))[0] == EXIT_OK
+    before = read_tree(tmp_path / "out")
+    call = "f(" * 1500 + ")" * 1500
+    vsp = write_variant(tmp_path, extra=f'  bind Types.constructor_body = " {call};";\n')
+    code, _, err = run("generate", "-s", str(vsp))
+    assert code == EXIT_GENERATION
+    assert "GEN-SYNTAX" in err and "nested deeper than" in err
+    assert read_tree(tmp_path / "out") == before
 
 
 def test_generate_run_time_mode(tmp_path):

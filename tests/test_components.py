@@ -96,10 +96,11 @@ def test_registry_enforces_phase_discipline():
     restrict_behavior = Behavior("r", "restrict", TRUE, _noop)
     with pytest.raises(RegistrationError, match="may not run 'restrict'"):
         build_registry([_component(kind="back_end", behaviors=(restrict_behavior,))], MODEL)
-    with pytest.raises(RegistrationError, match="unknown phase"):
-        build_registry(
-            [_component(behaviors=(Behavior("b", "bogus", TRUE, _noop),))], MODEL
-        )
+    for phase in ("bogus", "transform"):
+        with pytest.raises(RegistrationError, match="unknown phase"):
+            build_registry(
+                [_component(behaviors=(Behavior("b", phase, TRUE, _noop),))], MODEL
+            )
     with pytest.raises(RegistrationError, match="unknown kind"):
         build_registry([_component(kind="middle")], MODEL)
 

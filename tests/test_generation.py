@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genline.classdiagram import ClassDiagram, parse_class_diagram
 from genline.components import Behavior, ComponentInterface, GeneratorComponent
@@ -277,9 +281,10 @@ def test_generate_minimal_component(tmp_path):
 
     def emit(ctx, comp):
         if ctx.should_emit("A.oo"):
-            container = ctx.container(comp, "A.oo")
+            container = ArtifactContainer("A.oo", comp.id)
             container.append("package P;\n")
             container.append("class A {\n}\n")
+            ctx.adopt(comp, container)
 
     comp = _mk(
         "Simple",
@@ -403,8 +408,9 @@ def test_generate_hook_failure_blocks_output(tmp_path):
         ctx.publish(comp, "hook.required", "MissingProvider")
 
     def emit(ctx, comp):
-        container = ctx.container(comp, "A.oo")
+        container = ArtifactContainer("A.oo", comp.id)
         container.append("package P;\nclass A {\n}\n")
+        ctx.adopt(comp, container)
 
     comp = _mk(
         "Needy",
@@ -451,7 +457,7 @@ def test_phase_discipline_is_enforced(tmp_path):
 
 def test_emit_requires_a_claim(tmp_path):
     def emit(ctx, comp):
-        ctx.container(comp, "A.oo")
+        ctx.adopt(comp, ArtifactContainer("A.oo", comp.id))
 
     comp = _mk("NoClaim", (Behavior("emit_a", "emit", TRUE, emit),))
     with pytest.raises(EngineError, match="without a claim"):
@@ -463,7 +469,7 @@ def test_emit_respects_other_claims(tmp_path):
         ctx.claim(comp, "A.oo", "a")
 
     def emit_other(ctx, comp):
-        ctx.container(comp, "A.oo")
+        ctx.adopt(comp, ArtifactContainer("A.oo", comp.id))
 
     owner = _mk("AOwner", (Behavior("declare_a", "declare", TRUE, declare),))
     thief = _mk("Thief", (Behavior("emit_steal", "emit", TRUE, emit_other),))
@@ -501,6 +507,31 @@ def test_adopt_checks_builder_identity_and_double_emit(tmp_path):
     )
     with pytest.raises(EngineError, match="emitted twice"):
         generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o"))
+
+
+@pytest.mark.parametrize("claimed", ["../escape.oo", "trace.map", "gencache.map", "{tmp}/abs.oo"])
+def test_claim_paths_stay_inside_the_output(tmp_path, claimed):
+    path = claimed.format(tmp=tmp_path)
+
+    def declare(ctx, comp):
+        ctx.claim(comp, path, "hostile")
+
+    def emit(ctx, comp):
+        container = ArtifactContainer(path, comp.id)
+        container.append("package P;\nclass A {\n}\n")
+        ctx.adopt(comp, container)
+
+    hostile = _mk(
+        "Hostile",
+        (Behavior("declare_h", "declare", TRUE, declare), Behavior("emit_h", "emit", TRUE, emit)),
+    )
+    composed = compose_reference(FULL_GEN)
+    spec = make_spec(FULL_GEN, tmp_path / "out")
+    assert generate(composed, _small_diagram(), spec).ok
+    before = read_tree(tmp_path)
+    with pytest.raises(EngineError, match="artifact path must be relative"):
+        generate(compose_all([*composed.components, hostile]), _small_diagram(), spec)
+    assert read_tree(tmp_path) == before
 
 
 def test_publish_requires_declared_topic(tmp_path):
@@ -669,3 +700,64 @@ def test_corrupt_cache_is_a_miss(tmp_path):
     )
     assert report.ok
     assert report.skipped_cache_hits == ()
+
+
+_CLASS_NAMES = ("Alpha", "Beta", "Gamma")
+_ATTR_NAMES = ("id", "size", "label")
+
+_EDITS = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_CLASS_NAMES)),
+    st.tuples(st.just("remove"), st.sampled_from(_CLASS_NAMES)),
+    st.tuples(st.just("rename"), st.sampled_from(_CLASS_NAMES), st.sampled_from(_ATTR_NAMES)),
+    st.tuples(st.just("nobuilder"), st.sampled_from(_CLASS_NAMES)),
+    st.tuples(st.just("prefix"), st.sampled_from(("create%s", "make%s", "new%s"))),
+)
+
+
+def _edited(classes: dict, prefix: str, edit: tuple) -> tuple[dict, str]:
+    """Apply one edit to a {class: (nobuilder, attribute)} diagram and a factory prefix."""
+    classes = dict(classes)
+    kind, arg = edit[0], edit[1]
+    if kind == "add":
+        classes.setdefault(arg, (False, "id"))
+    elif kind == "remove":
+        classes.pop(arg, None)
+    elif kind == "rename" and arg in classes:
+        classes[arg] = (classes[arg][0], edit[2])
+    elif kind == "nobuilder" and arg in classes:
+        classes[arg] = (not classes[arg][0], classes[arg][1])
+    elif kind == "prefix":
+        prefix = arg
+    return classes, prefix
+
+
+def _cdl(classes: dict) -> str:
+    body = "".join(
+        f"  {'<<nobuilder>> ' if nobuilder else ''}class {name} {{ {attr}: int; }}\n"
+        for name, (nobuilder, attr) in sorted(classes.items())
+    )
+    return "classdiagram Shop {\n" + body + "}\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_EDITS, min_size=1, max_size=4))
+def test_incremental_equals_cold_over_edit_scripts(edits):
+    composed = compose_reference(FULL_GEN)
+    classes, prefix = {"Alpha": (False, "id"), "Beta": (False, "size")}, "create%s"
+    with tempfile.TemporaryDirectory() as tmp:
+        warm_dir, cold_dir = Path(tmp) / "warm", Path(tmp) / "cold"
+
+        def spec(out):
+            return make_spec(FULL_GEN, out, binds={"Factory.factory_method_prefix": prefix})
+
+        report, cache = incremental_generate(
+            composed, parse_class_diagram(_cdl(classes)), spec(warm_dir), GenCache()
+        )
+        assert report.ok
+        for edit in edits:
+            classes, prefix = _edited(classes, prefix, edit)
+            diagram = parse_class_diagram(_cdl(classes))
+            report, cache = incremental_generate(composed, diagram, spec(warm_dir), cache)
+            assert report.ok, report.violations
+            assert generate(composed, diagram, spec(cold_dir)).ok
+            assert read_tree(warm_dir) == read_tree(cold_dir), edit
