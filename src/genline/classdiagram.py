@@ -289,9 +289,6 @@ class SymbolTable:
         except KeyError:
             raise UnknownTypeError(name) from None
 
-    def resolve(self, name: str) -> tuple[str, TypeDecl | None] | None:
-        return self._entries.get(name)
-
     def kind_of(self, name: str) -> str | None:
         entry = self._entries.get(name)
         return entry[0] if entry else None

@@ -104,13 +104,18 @@ def _print_violations(report: ValidationReport, err: TextIO) -> None:
         print(f"{violation.code}: {violation.message}", file=err)
 
 
+def _read_input(path: str, what: str) -> str:
+    """The text of a user-given file; unreadable or non-UTF-8 bytes are a UsageError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _load_model(path: str | None) -> FeatureModel:
     if path is None:
         return reference_feature_model()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read feature model {path!r}: {exc}") from exc
+    text = _read_input(path, "feature model")
     try:
         return parse_feature_model(text)
     except TextSyntaxError as exc:
@@ -118,10 +123,7 @@ def _load_model(path: str | None) -> FeatureModel:
 
 
 def _load_spec(path: str) -> VariantSpec:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read variant spec {path!r}: {exc}") from exc
+    text = _read_input(path, "variant spec")
     try:
         return parse_variant_spec(text, base_dir=os.path.dirname(os.path.abspath(path)))
     except TextSyntaxError as exc:
@@ -224,11 +226,7 @@ def _cmd_derive(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 def _read_diagram(spec: VariantSpec):
     if not spec.model_path:
         raise UsageError(f"variant {spec.name!r} names no input model")
-    try:
-        text = Path(spec.model_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read input model {spec.model_path!r}: {exc}") from exc
-    return parse_class_diagram(text)
+    return parse_class_diagram(_read_input(spec.model_path, "input model"))
 
 
 def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
@@ -246,7 +244,7 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         cache_dir = args.cache or spec.output_path
         cache_path = Path(cache_dir) / CACHE_FILE
         cache = (
-            GenCache.from_text(cache_path.read_text(encoding="utf-8"))
+            GenCache.from_text(cache_path.read_text(encoding="utf-8", errors="replace"))
             if cache_path.is_file()
             else GenCache()
         )
@@ -275,7 +273,7 @@ def _cmd_trace(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     spec = _load_spec(args.spec)
     trace_path = Path(spec.output_path) / TRACE_FILE
     try:
-        text = trace_path.read_text(encoding="utf-8")
+        text = trace_path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise UsageError(f"no trace map at {str(trace_path)!r}: {exc}") from exc
     trace = TraceIndex.from_text(text)

@@ -86,12 +86,16 @@ class Fact:
 
 
 class Blackboard:
-    """Shared fact store plus artifact claims for one generation run."""
+    """Shared fact store plus artifact claims for one generation run.
+
+    ``facts`` keeps publication order; every lookup goes through one index,
+    topic -> subject -> producer -> fact.
+    """
 
     def __init__(self) -> None:
         self.facts: list[Fact] = []
         self.claims: dict[str, str] = {}  # artifact path -> component id
-        self._keys: dict[tuple[str, str, str], Fact] = {}
+        self._index: dict[str, dict[str, dict[str, Fact]]] = {}
 
     def publish(self, fact: Fact, producer: GeneratorComponent | None = None) -> None:
         if fact.topic not in FACT_TOPICS:
@@ -101,15 +105,16 @@ class Blackboard:
                 raise BlackboardError(
                     f"component {producer.id!r} does not declare producing {fact.topic!r}"
                 )
-        key = (fact.topic, fact.producer, fact.subject)
-        existing = self._keys.get(key)
+        by_producer = self._index.setdefault(fact.topic, {}).setdefault(fact.subject, {})
+        existing = by_producer.get(fact.producer)
         if existing is not None:
             if existing.payload != fact.payload:
+                key = (fact.topic, fact.producer, fact.subject)
                 raise BlackboardError(
                     f"conflicting facts for {key}: {existing.payload!r} vs {fact.payload!r}"
                 )
             return
-        self._keys[key] = fact
+        by_producer[fact.producer] = fact
         self.facts.append(fact)
 
     def query(
@@ -124,12 +129,11 @@ class Blackboard:
             raise BlackboardError(
                 f"component {consumer.id!r} does not declare consuming {topic!r}"
             )
-        found = [
-            f
-            for f in self.facts
-            if f.topic == topic and (subject is None or f.subject == subject)
-        ]
-        found.sort(key=lambda f: (f.subject, f.producer))
+        by_subject = self._index.get(topic, {})
+        found: list[Fact] = []
+        for s in sorted(by_subject) if subject is None else (subject,):
+            by_producer = by_subject.get(s, {})
+            found.extend(by_producer[p] for p in sorted(by_producer))
         return tuple(found)
 
 
@@ -160,8 +164,45 @@ def claim_artifact(board: Blackboard, path: str, component: str) -> None:
 # Artifact containers
 
 @dataclass(frozen=True)
+class TraceRegion:
+    start: int  # 1-based
+    end: int  # inclusive
+    features: tuple[str, ...]  # sorted, non-empty ("core" sentinel when none apply)
+    component: str
+
+
+class ArtifactContainer:
+    """In-memory buffer for one output artifact, built region by region."""
+
+    def __init__(self, path: str, component: str):
+        self.path = path
+        self.component = component
+        self.regions: list[TraceRegion] = []
+        self._content = ""
+
+    def append(self, text: str, features: Iterable[str] = ()) -> None:
+        """Add whole lines attributed to the given features (default "core")."""
+        if not text.endswith("\n"):
+            raise ValueError(f"region text must end with a newline: {text!r}")
+        feats = tuple(sorted(set(features))) or (CORE_FEATURE,)
+        start = self.regions[-1].end + 1 if self.regions else 1
+        end = start + text.count("\n") - 1
+        self._content += text
+        if self.regions and self.regions[-1].features == feats:
+            self.regions[-1] = replace(self.regions[-1], end=end)
+        else:
+            self.regions.append(TraceRegion(start, end, feats, self.component))
+
+    def content(self) -> str:
+        return self._content
+
+    def line_count(self) -> int:
+        return self.regions[-1].end if self.regions else 0
+
+
+@dataclass(frozen=True)
 class SyntaxStatus:
-    state: str  # "unchecked" | "valid" | "invalid"
+    state: str  # "valid" | "invalid"
     message: str = ""
     line: int = 0
     column: int = 0
@@ -171,73 +212,14 @@ class SyntaxStatus:
         return self.state == "valid"
 
 
-UNCHECKED = SyntaxStatus("unchecked")
-VALID = SyntaxStatus("valid")
-
-
-@dataclass(frozen=True)
-class Region:
-    text: str
-    features: tuple[str, ...]  # sorted, non-empty ("core" sentinel when none apply)
-    component: str
-    start_line: int  # 1-based
-
-
-class ArtifactContainer:
-    """In-memory buffer for one output artifact, built region by region."""
-
-    def __init__(self, path: str, component: str):
-        self.path = path
-        self.component = component
-        self.regions: list[Region] = []
-        self.syntax_status: SyntaxStatus = UNCHECKED
-        self._next_line = 1
-
-    def append(self, text: str, features: Iterable[str] = ()) -> None:
-        """Add whole lines attributed to the given features (default "core")."""
-        if not text.endswith("\n"):
-            raise ValueError(f"region text must end with a newline: {text!r}")
-        feats = tuple(sorted(set(features))) or (CORE_FEATURE,)
-        lines = text.count("\n")
-        if self.regions:
-            last = self.regions[-1]
-            if last.features == feats:
-                self.regions[-1] = replace(last, text=last.text + text)
-                self._next_line += lines
-                return
-        self.regions.append(
-            Region(text=text, features=feats, component=self.component, start_line=self._next_line)
-        )
-        self._next_line += lines
-
-    def content(self) -> str:
-        return "".join(r.text for r in self.regions)
-
-    def line_count(self) -> int:
-        return self._next_line - 1
-
-
 def validate_syntax(container: ArtifactContainer) -> SyntaxStatus:
     """Check the container content against the target-language grammar."""
     error = ootl.check_unit(container.content())
-    if error is None:
-        container.syntax_status = VALID
-    else:
-        message, line, column = error
-        container.syntax_status = SyntaxStatus("invalid", message, line, column)
-    return container.syntax_status
+    return SyntaxStatus("valid") if error is None else SyntaxStatus("invalid", *error)
 
 
 # ---------------------------------------------------------------------------
 # Traceability
-
-@dataclass(frozen=True)
-class TraceRegion:
-    start: int
-    end: int  # inclusive
-    features: tuple[str, ...]
-    component: str
-
 
 class TraceIndex:
     """Feature-to-lines and artifact-to-regions views of one generated variant."""
@@ -259,23 +241,6 @@ class TraceIndex:
         self.by_feature: dict[str, tuple[tuple[str, tuple[int, int]], ...]] = {
             feat: tuple(ranges) for feat, ranges in sorted(by_feature.items())
         }
-
-    @staticmethod
-    def from_containers(containers: Iterable[ArtifactContainer]) -> "TraceIndex":
-        regions: dict[str, list[TraceRegion]] = {}
-        for container in containers:
-            out = regions.setdefault(container.path, [])
-            for region in container.regions:
-                lines = region.text.count("\n")
-                out.append(
-                    TraceRegion(
-                        start=region.start_line,
-                        end=region.start_line + lines - 1,
-                        features=region.features,
-                        component=region.component,
-                    )
-                )
-        return TraceIndex(regions)
 
     def to_lines(self) -> list[str]:
         lines = []
@@ -299,7 +264,7 @@ class TraceIndex:
             location, component, feats = parts
             path, _, span = location.rpartition(":")
             bounds = span.split("-")
-            if len(bounds) != 2 or not all(b.isdigit() for b in bounds):
+            if len(bounds) != 2 or not all(b.isascii() and b.isdigit() for b in bounds):
                 continue
             start, end = int(bounds[0]), int(bounds[1])
             if not path or start < 1 or end < start:
@@ -536,14 +501,14 @@ def _cache_key(
     board: Blackboard,
 ) -> str:
     comp = composed.component(meta.component)
-    consumed: list[str] = []
-    for fact in sorted(board.facts, key=lambda f: (f.topic, f.subject, f.producer)):
-        if fact.topic not in comp.interface.consumes:
-            continue
-        if meta.fact_subjects is not None and fact.subject not in meta.fact_subjects:
-            continue
-        payload = ";".join(f"{k}={v}" for k, v in fact.payload)
-        consumed.append(f"{fact.topic}|{fact.producer}|{fact.subject}|{payload}")
+    subjects = (None,) if meta.fact_subjects is None else meta.fact_subjects
+    consumed = [
+        f"{fact.topic}|{fact.producer}|{fact.subject}|"
+        + ";".join(f"{k}={v}" for k, v in fact.payload)
+        for topic in sorted(comp.interface.consumes)
+        for subject in subjects
+        for fact in board.query(topic, subject)
+    ]
     options = ctx.options(comp)
     vps = ctx.vps(comp)
     material = "\n".join(
@@ -577,16 +542,17 @@ def _lookup_cache(
     trace_path = out_dir / TRACE_FILE
     if not trace_path.is_file():
         return keys, hits
-    old_trace = TraceIndex.from_text(trace_path.read_text(encoding="utf-8"))
+    old_trace = TraceIndex.from_text(trace_path.read_text(encoding="utf-8", errors="replace"))
     for path, key in keys.items():
         entry = cache.entries.get(path)
         regions = old_trace.by_artifact.get(path)
         existing = out_dir / path
         if entry is None or entry[0] != key or regions is None or not existing.is_file():
             continue
-        text = existing.read_text(encoding="utf-8")
-        if _digest(text) == entry[1]:
-            hits[path] = (text, regions)
+        # A file that is not UTF-8 cannot match a digest of UTF-8 text: a miss.
+        data = existing.read_bytes()
+        if hashlib.sha256(data).hexdigest() == entry[1]:
+            hits[path] = (data.decode("utf-8"), regions)
     return keys, hits
 
 
@@ -665,7 +631,7 @@ def _run_engine(
     # Assemble every output byte in memory before touching the filesystem.
     fresh = [c for path, c in ctx.containers.items() if path not in hits]
     files = {c.path: c.content() for c in fresh}
-    regions = dict(TraceIndex.from_containers(fresh).by_artifact)
+    regions = {c.path: c.regions for c in fresh}
     for path, (text, hit_regions) in hits.items():
         files[path] = text
         regions[path] = hit_regions

@@ -267,20 +267,6 @@ def interface_artifact(diagram_name: str, decl: InterfaceDecl) -> ArtifactContai
     return container
 
 
-def types_emit(
-    diagram_name: str,
-    cls: ClassDecl,
-    options: Mapping[str, object],
-    vps: Mapping[str, str],
-    mode: str,
-) -> list[ArtifactContainer]:
-    """All artifacts the Types component derives from one class."""
-    artifacts = [class_artifact(diagram_name, cls, options, vps)]
-    if mode in ("run_time", "hybrid"):
-        artifacts.append(provider_artifact(diagram_name, cls))
-    return artifacts
-
-
 def _types_declare_classes(ctx: GenContext, comp: GeneratorComponent) -> None:
     options = ctx.options(comp)
     for cls in ctx.diagram.classes():

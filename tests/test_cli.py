@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
+import pytest
+
 from genline.cli import (
     EXIT_COMPOSITION,
     EXIT_CONFIG,
@@ -209,6 +211,32 @@ def test_generate_incremental_custom_cache_dir(tmp_path):
     assert not (tmp_path / "out" / "gencache.map").exists()
     code, out, _ = run("generate", "--incremental", "--cache", str(cache_dir), "-s", str(vsp))
     assert code == EXIT_OK and "written: none" in out
+
+
+@pytest.mark.parametrize(
+    "damaged, command, expected",
+    [
+        ("bad.fml", ("validate", "-c", "CD2Java", "-m", "{tmp}/bad.fml"), EXIT_USAGE),
+        ("out/gencache.map", ("generate", "--incremental", "-s", "{vsp}"), EXIT_OK),
+        ("out/Person.oo", ("generate", "--incremental", "-s", "{vsp}"), EXIT_OK),
+        ("out/trace.map", ("trace", "-s", "{vsp}", "--artifact", "Person.oo"), EXIT_OK),
+    ],
+    ids=["model", "cache", "artifact", "trace"],
+)
+def test_bytes_that_are_not_utf8_never_raise(tmp_path, damaged, command, expected):
+    vsp = write_variant(tmp_path)
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(tmp_path / "out")
+    (tmp_path / damaged).write_bytes(b"\xff\xfe")
+    code, out, err = run(*(arg.format(tmp=tmp_path, vsp=vsp) for arg in command))
+    assert code == expected, err
+    if command[0] == "validate":
+        assert "cannot read feature model" in err and "bad.fml" in err
+    elif command[0] == "generate":
+        # The damaged file only causes misses; the output is rebuilt in full.
+        assert read_tree(tmp_path / "out") == cold
+    else:
+        assert out == "unknown artifact: Person.oo\n"
 
 
 def test_generate_rejects_malformed_input_model(tmp_path):

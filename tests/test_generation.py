@@ -82,6 +82,39 @@ def test_blackboard_publish_and_query():
     assert board.query("method.generated") == ()
 
 
+_TOPICS = ("type.generated", "constructor.generated", "hook.required")
+_PRODUCERS = ("P", "Q", "R")
+_SUBJECTS = ("A", "B", "C")
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Fact.make,
+            st.sampled_from(_TOPICS),
+            st.sampled_from(_PRODUCERS),
+            st.sampled_from(_SUBJECTS),
+        ),
+        max_size=30,
+    )
+)
+def test_blackboard_index_matches_a_scan(facts):
+    board = Blackboard()
+    for fact in facts:
+        board.publish(fact)  # a repeated fact is a no-op
+    assert board.facts == list(dict.fromkeys(facts))
+
+    def scan(topic, subject):
+        found = [f for f in board.facts if f.topic == topic and subject in (None, f.subject)]
+        return tuple(sorted(found, key=lambda f: (f.subject, f.producer)))
+
+    for topic in _TOPICS:
+        assert board.query(topic) == scan(topic, None)
+        for subject in _SUBJECTS:
+            assert board.query(topic, subject) == scan(topic, subject)
+
+
 def test_blackboard_rejects_unknown_topics():
     board = Blackboard()
     with pytest.raises(BlackboardError, match="outside the ontology"):
@@ -136,10 +169,10 @@ def test_container_coalesces_adjacent_regions_per_feature_set():
     container.append("class A {\n", ("Class",))
     container.append("  A() { }\n", ("DefaultConstructor",))
     container.append("}\n", ("Class",))
-    assert [(r.start_line, r.text.count("\n"), r.features) for r in container.regions] == [
+    assert [(r.start, r.end, r.features) for r in container.regions] == [
         (1, 2, ("Class",)),
-        (3, 1, ("DefaultConstructor",)),
-        (4, 1, ("Class",)),
+        (3, 3, ("DefaultConstructor",)),
+        (4, 4, ("Class",)),
     ]
     assert container.content() == "package P;\nclass A {\n  A() { }\n}\n"
     assert container.line_count() == 4
@@ -158,9 +191,7 @@ def test_container_defaults_and_validation():
 def test_validate_syntax_updates_status():
     good = ArtifactContainer("A.oo", "C")
     good.append("package P;\nclass A {\n}\n")
-    assert not good.syntax_status.is_valid  # unchecked
     assert validate_syntax(good).is_valid
-    assert good.syntax_status.is_valid
 
     bad = ArtifactContainer("B.oo", "C")
     bad.append("package P;\nclass B {\n")
@@ -177,7 +208,7 @@ def test_trace_index_from_containers_and_round_trip():
     container.append("package P;\nclass A {\n", ("Class",))
     container.append("  A() { }\n", ("DefaultConstructor",))
     container.append("}\n", ("Class",))
-    trace = TraceIndex.from_containers([container])
+    trace = TraceIndex({container.path: container.regions})
     assert trace.by_artifact["A.oo"] == (
         TraceRegion(1, 2, ("Class",), "C"),
         TraceRegion(3, 3, ("DefaultConstructor",), "C"),
@@ -220,6 +251,7 @@ def test_trace_from_text_skips_malformed_lines():
         "B.oo:2-1 C Class\n"
         "B.oo:0-1 C Class\n"
         "C.oo:1-1 C\n"
+        "D.oo:1-\u00b2 C Class\n"
         "A.oo:3-3 C Enum\n"
     )
     trace = TraceIndex.from_text(text)
@@ -552,6 +584,73 @@ def _pipeline(tmp_path, source=SMALL_CDL, config=FULL_GEN, **spec_kwargs):
     diagram = parse_class_diagram(source)
     spec = make_spec(config, tmp_path / "out", **spec_kwargs)
     return composed, diagram, spec
+
+
+# (cache key digest, content digest) per artifact of the small pipeline.
+_PINNED_CACHE = {
+    "generation_time": {
+        "Person.oo": (
+            "8bcea87aed9974d71488464c94133fa51bcf787dadb095d712eb46cde36d86fa",
+            "9a72935514fff2a6e6d3b21a4d0443de89240321fb67125c57c1419e7502a7c6",
+        ),
+        "PersonBuilder.oo": (
+            "beaae0ed1f7a17444ebf9b5af6319fec12ee7597ecba480ac48314cd4c625ac1",
+            "c6d029255c4684c6179f4163818692e554357d71d3e7c87f88f5caf9e31a9ee1",
+        ),
+        "Receipt.oo": (
+            "1fe378a1d6a1cf21106e1f248f77b7132a0dbe9d8eaefa2cf5e4447304049c95",
+            "0bb8e1d4da2752c266b99b252555ca0d9cd3ea32d75c0d7274de05af5403ed20",
+        ),
+        "ReceiptBuilder.oo": (
+            "af0e387df9793529bc10a467fee31013fb998abaad36622de6acc321b5045b88",
+            "5e3f6659e12124a13da58df34a0bb10dad01df544d76814f36a7b127b7137a2f",
+        ),
+        "ShopFactory.oo": (
+            "1626def390eac5dc11a326dd9f9d67fd0ebdc30c7763b447363c1945edb742a5",
+            "7b10555f79516a4f79389c9f1a3aeeec3a57674c19b522d3f324aa0455308409",
+        ),
+    },
+    "hybrid": {
+        "Person.oo": (
+            "a313775bf5bd4b57dbab94ac075b34c3903c8652f252ac66f68f6521d21cb477",
+            "9a72935514fff2a6e6d3b21a4d0443de89240321fb67125c57c1419e7502a7c6",
+        ),
+        "PersonBuilder.oo": (
+            "b4a109d7df6a1280c01de8ae0b180c39baf83513a88d7428741567459b70c3fc",
+            "c6d029255c4684c6179f4163818692e554357d71d3e7c87f88f5caf9e31a9ee1",
+        ),
+        "PersonProvider.oo": (
+            "029335e3169a3088c1068fd64f8ecbbe93d1301c7f77c24f0a4db48c983d4a73",
+            "6ad55edf26491fc4b6dc54c79ca5ff50460e86b4a07373adcf3c09b3e3123e2e",
+        ),
+        "Receipt.oo": (
+            "b6644c403763657f1969934198b99c2e0e024d2eb641e76dbbaf08346b2c9a85",
+            "0bb8e1d4da2752c266b99b252555ca0d9cd3ea32d75c0d7274de05af5403ed20",
+        ),
+        "ReceiptBuilder.oo": (
+            "ec6814a22df00bc47d6cb5a35ca404711cf3de664348b4ccf12554c83a3bd096",
+            "5e3f6659e12124a13da58df34a0bb10dad01df544d76814f36a7b127b7137a2f",
+        ),
+        "ReceiptProvider.oo": (
+            "2dc5207a4def4849df76a5235330e3fd584d1b4b406822a3466ea0e65481be8b",
+            "65592383423389fa635ffe6a8bd503659e4c0d9e42b61d7a458c173e41298e0a",
+        ),
+        "ShopFactory.oo": (
+            "e70524702e0fd219b09549f92fcd8e9fb88967dd62ae07ed7e96b4b8ef643444",
+            "7b10555f79516a4f79389c9f1a3aeeec3a57674c19b522d3f324aa0455308409",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_PINNED_CACHE))
+def test_gencache_map_is_pinned(tmp_path, mode):
+    """A change to the key material (element, component, mode, options, vps,
+    consumed facts) would turn every old cache entry into a miss."""
+    composed, diagram, spec = _pipeline(tmp_path, mode=mode)
+    report, cache = incremental_generate(composed, diagram, spec, GenCache())
+    assert report.ok
+    assert cache.to_text() == GenCache(_PINNED_CACHE[mode]).to_text()
 
 
 def test_incremental_cold_then_warm(tmp_path):

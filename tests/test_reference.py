@@ -19,7 +19,6 @@ from genline.reference import (
     interface_artifact,
     provider_artifact,
     reference_components,
-    types_emit,
 )
 
 from helpers import ALL_FEATURES, compose_reference, covering_diagram, make_spec, read_tree, restrict_diagram
@@ -143,23 +142,6 @@ def test_provider_enum_interface_artifacts():
         "  string print();\n"
         "}\n"
     )
-
-
-def test_types_emit_adds_provider_for_late_binding():
-    person = _person()
-    options = {"default_constructor": True}
-    vps = {"constructor_body": ""}
-    assert [c.path for c in types_emit("Shop", person, options, vps, "generation_time")] == [
-        "Person.oo"
-    ]
-    assert [c.path for c in types_emit("Shop", person, options, vps, "run_time")] == [
-        "Person.oo",
-        "PersonProvider.oo",
-    ]
-    assert [c.path for c in types_emit("Shop", person, options, vps, "hybrid")] == [
-        "Person.oo",
-        "PersonProvider.oo",
-    ]
 
 
 def test_all_emitters_produce_valid_units():
