@@ -110,7 +110,7 @@ def parse_class_diagram(source: str) -> ClassDiagram:
     """Parse CDL text, preserving declaration order and source positions."""
     ts = TokenStream(tokenize(source, _PUNCTS))
     ts.expect_keyword("classdiagram")
-    name = _ident(ts, "diagram name")
+    name = ts.expect_name("diagram name", _RESERVED).value
     ts.expect_punct("{")
     types: list[TypeDecl] = []
     while not ts.at_punct("}"):
@@ -121,19 +121,11 @@ def parse_class_diagram(source: str) -> ClassDiagram:
     return ClassDiagram(name=name, types=tuple(types))
 
 
-def _ident(ts: TokenStream, what: str) -> str:
-    tok = ts.expect_ident(what)
-    if tok.value in _RESERVED:
-        raise TextSyntaxError(f"expected {what}, found keyword {tok.value!r}", tok.line, tok.column)
-    return tok.value
-
-
 def _parse_element(ts: TokenStream) -> TypeDecl:
     tags: list[str] = []
     while ts.accept_punct("<<"):
-        tags.append(_ident(ts, "tag name"))
+        tags.append(ts.expect_name("tag name", _RESERVED).value)
         ts.expect_punct(">>")
-    tok = ts.peek()
     if ts.accept_ident("class"):
         return _parse_class(ts, tuple(tags))
     if tags:
@@ -142,12 +134,7 @@ def _parse_element(ts: TokenStream) -> TypeDecl:
         return _parse_interface(ts)
     if ts.accept_ident("enum"):
         return _parse_enum(ts)
-    raise TextSyntaxError(
-        f"expected 'class', 'interface' or 'enum', found {tok.value!r}" if tok.kind != "eof"
-        else "expected 'class', 'interface' or 'enum', found end of input",
-        tok.line,
-        tok.column,
-    )
+    ts.expected("'class', 'interface' or 'enum'")
 
 
 def _parse_class(ts: TokenStream, tags: tuple[str, ...]) -> ClassDecl:
@@ -155,23 +142,17 @@ def _parse_class(ts: TokenStream, tags: tuple[str, ...]) -> ClassDecl:
     superclass = None
     interfaces: list[str] = []
     if ts.accept_ident("extends"):
-        superclass = _ident(ts, "superclass name")
+        superclass = ts.expect_name("superclass name", _RESERVED).value
     if ts.accept_ident("implements"):
-        interfaces.append(_ident(ts, "interface name"))
+        interfaces.append(ts.expect_name("interface name", _RESERVED).value)
         while ts.accept_punct(","):
-            interfaces.append(_ident(ts, "interface name"))
+            interfaces.append(ts.expect_name("interface name", _RESERVED).value)
     ts.expect_punct("{")
     attributes: list[Attribute] = []
     seen: set[str] = set()
     while not ts.at_punct("}"):
-        attr_tok = ts.expect_ident("attribute name")
+        attr_tok = ts.expect_name("attribute name", _RESERVED)
         attr_name = attr_tok.value
-        if attr_name in _RESERVED:
-            raise TextSyntaxError(
-                f"expected attribute name, found keyword {attr_name!r}",
-                attr_tok.line,
-                attr_tok.column,
-            )
         ts.expect_punct(":")
         type_name = ts.expect_ident("type name").value
         ts.expect_punct(";")

@@ -119,13 +119,9 @@ def parse_feature_model(source: str) -> FeatureModel:
         ts.expect_punct("{")
         while not ts.at_punct("}"):
             lhs = ts.expect_ident("feature id")
-            kind = ts.expect_ident("'requires' or 'excludes'")
-            if kind.value not in ("requires", "excludes"):
-                raise TextSyntaxError(
-                    f"expected 'requires' or 'excludes', found {kind.value!r}",
-                    kind.line,
-                    kind.column,
-                )
+            if not (ts.at_ident("requires") or ts.at_ident("excludes")):
+                ts.expected("'requires' or 'excludes'")
+            kind = ts.next()
             rhs = ts.expect_ident("feature id")
             ts.expect_punct(";")
             constraints.append(

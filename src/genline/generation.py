@@ -652,7 +652,9 @@ def _run_engine(
 
 def _atomic_swap(out_dir: Path, files: Mapping[str, str]) -> None:
     parent = out_dir.resolve().parent
+    resolved = parent / out_dir.name
     try:
+        _check_replaceable(resolved, files)
         parent.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.stage-", dir=parent))
     except OSError as exc:
@@ -663,16 +665,35 @@ def _atomic_swap(out_dir: Path, files: Mapping[str, str]) -> None:
             target = stage / rel
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text, encoding="utf-8")
-        resolved = parent / out_dir.name
         if resolved.exists():
             resolved.rename(backup)
         stage.rename(resolved)
     except OSError as exc:
         shutil.rmtree(stage, ignore_errors=True)
-        if backup.exists() and not (parent / out_dir.name).exists():
-            backup.rename(parent / out_dir.name)
+        if backup.exists() and not resolved.exists():
+            backup.rename(resolved)
         raise GenerationIOError(f"cannot write outputs: {exc}") from exc
     shutil.rmtree(backup, ignore_errors=True)
+
+
+def _check_replaceable(out_dir: Path, files: Mapping[str, str]) -> None:
+    """Refuse to replace a directory that genline did not write.
+
+    An earlier output has a trace.map. Without one (it may have been deleted),
+    the directory may hold only files this run writes and the cache map.
+    """
+    if not out_dir.exists() or (out_dir / TRACE_FILE).is_file():
+        return
+    if not out_dir.is_dir():
+        raise GenerationIOError(f"refusing to replace {str(out_dir)!r}: it is not a directory")
+    ours = set(files) | {CACHE_FILE}
+    for path in out_dir.rglob("*"):
+        rel = path.relative_to(out_dir).as_posix()
+        if not path.is_dir() and rel not in ours:
+            raise GenerationIOError(
+                f"refusing to replace {str(out_dir)!r}: it has no {TRACE_FILE} and holds "
+                f"{rel!r}, which generation does not write"
+            )
 
 
 def generate(

@@ -1,20 +1,39 @@
 """Shared tokenizer for the small text formats used across the framework.
 
-All formats (feature models, class diagrams, variant specs, and the generated
-target language) share the same lexical shape: identifiers, a fixed set of
-punctuation tokens, optional double-quoted strings, and // line comments.
+Feature models, class diagrams, variant specs and the generated target
+language share one lexical shape. ``tokenize`` reads it with one master
+regular expression whose named groups are tried in this order:
+
+- ``newline``: ends a line; columns count characters from 1 after it;
+- ``space``: a run of blanks, tabs and carriage returns;
+- ``comment``: ``//`` to the end of the line;
+- ``punct``: one of the format's punctuation tokens, longest first, so ``<<``
+  is read before ``<``;
+- ``ident``: an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``;
+- anything else is an ``unexpected character``.
+
+Variant specs (``vsp=True``) add two token kinds. A ``string`` is
+double-quoted text in which a backslash escapes any next character; a raw
+newline before the closing quote leaves it unterminated. Its value is the
+text without quotes and escapes. A ``path`` is the unquoted value after
+``model:`` or ``out:``: it runs from the first character that is not blank
+or comment to the next ``;``, and is stripped of surrounding whitespace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+import re
+from functools import lru_cache
+from typing import NamedTuple, NoReturn
 
 # Deepest nesting the recursive-descent parsers follow; deeper input is a
 # syntax error instead of an exhausted interpreter stack.
 MAX_NESTING = 100
+
+# Variant-spec keys whose unquoted value is a path token.
+_PATH_KEYS = ("model", "out")
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
 class TextSyntaxError(Exception):
@@ -27,80 +46,75 @@ class TextSyntaxError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "punct" | "string" | "eof"
+class Token(NamedTuple):
+    kind: str  # "ident" | "punct" | "string" | "path" | "eof"
     value: str
     line: int
     column: int
 
 
-def tokenize(source: str, puncts: tuple[str, ...], *, strings: bool = False) -> list[Token]:
-    """Split source into tokens; longest punctuation match wins."""
-    ordered = sorted(puncts, key=len, reverse=True)
+@lru_cache(maxsize=None)
+def _master(puncts: tuple[str, ...], vsp: bool) -> re.Pattern[str]:
+    longest_first = sorted(puncts, key=len, reverse=True)
+    groups = [
+        ("newline", r"\n"),
+        ("space", r"[ \t\r]+"),
+        ("comment", r"//[^\n]*"),
+        ("string", r'"(?:[^"\\\n]|\\[\s\S])*"' if vsp else r"(?!)"),
+        ("punct", "|".join(map(re.escape, longest_first)) or r"(?!)"),
+        ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+        ("other", r"[\s\S]"),
+    ]
+    return re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in groups))
+
+
+def tokenize(source: str, puncts: tuple[str, ...], *, vsp: bool = False) -> list[Token]:
+    """Split source into tokens, ending with one ``eof`` token."""
+    match = _master(puncts, vsp).match
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start, pos, end = 1, 0, 0, len(source)
+    path_next = False
+    while pos < end:
+        m = match(source, pos)
+        kind = m.lastgroup
+        stop = m.end()
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if strings and ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf: list[str] = []
-            while i < n and source[i] != '"':
-                c = source[i]
-                if c == "\n":
-                    raise TextSyntaxError("unterminated string", start_line, start_col)
-                if c == "\\" and i + 1 < n and source[i + 1] in '\\"':
-                    buf.append(source[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise TextSyntaxError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(Token("string", "".join(buf), start_line, start_col))
-            continue
-        matched = None
-        for p in ordered:
-            if source.startswith(p, i):
-                matched = p
-                break
-        if matched is not None:
-            tokens.append(Token("punct", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch in _IDENT_START:
-            start_line, start_col = line, col
-            j = i
-            while j < n and source[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(Token("ident", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise TextSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = stop
+        elif kind != "space" and kind != "comment":
+            column = pos - line_start + 1
+            value = m.group()
+            if path_next and value[0] != '"':
+                kind, stop = "path", source.find(";", pos)
+                if stop < 0:
+                    raise TextSyntaxError("expected path ending with ';'", line, column)
+                value = source[pos:stop].strip()
+                if not value or "\n" in value:
+                    raise TextSyntaxError("expected path before ';'", line, column)
+            elif kind == "string":
+                value = _ESCAPE.sub(r"\1", value[1:-1])
+            elif kind == "other":
+                if vsp and value == '"':
+                    raise TextSyntaxError("unterminated string", line, column)
+                raise TextSyntaxError(f"unexpected character {value!r}", line, column)
+            path_next = (
+                vsp and kind == "punct" and value == ":" and len(tokens) > 0
+                and tokens[-1].kind == "ident" and tokens[-1].value in _PATH_KEYS
+            )
+            tokens.append(Token(kind, value, line, column))
+            if kind == "string" or kind == "path":  # escaped or trailing newlines
+                last = source.rfind("\n", pos, stop)
+                if last >= 0:
+                    line += source.count("\n", pos, stop)
+                    line_start = last + 1
+        pos = stop
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+def describe(tok: Token) -> str:
+    """How an error message names the token it found."""
+    return "end of input" if tok.kind == "eof" else repr(tok.value)
 
 
 class TokenStream:
@@ -110,9 +124,8 @@ class TokenStream:
         self._tokens = tokens
         self._pos = 0
 
-    def peek(self, offset: int = 0) -> Token:
-        idx = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[idx]
+    def peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def next(self) -> Token:
         tok = self._tokens[self._pos]
@@ -139,25 +152,29 @@ class TokenStream:
 
     def expect_punct(self, value: str) -> Token:
         if not self.at_punct(value):
-            self.error(f"expected {value!r}, found {self._describe(self.peek())}")
+            self.expected(repr(value))
         return self.next()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         if self.peek().kind != "ident":
-            self.error(f"expected {what}, found {self._describe(self.peek())}")
+            self.expected(what)
         return self.next()
+
+    def expect_name(self, what: str, reserved: frozenset[str]) -> Token:
+        """Expect an identifier that is not one of the reserved words."""
+        tok = self.expect_ident(what)
+        if tok.value in reserved:
+            raise TextSyntaxError(f"expected {what}, found keyword {tok.value!r}", tok.line, tok.column)
+        return tok
 
     def expect_keyword(self, value: str) -> Token:
         if not self.at_ident(value):
-            self.error(f"expected {value!r}, found {self._describe(self.peek())}")
+            self.expected(repr(value))
         return self.next()
 
-    def error(self, message: str) -> None:
+    def expected(self, what: str) -> NoReturn:
+        self.error(f"expected {what}, found {describe(self.peek())}")
+
+    def error(self, message: str) -> NoReturn:
         tok = self.peek()
         raise TextSyntaxError(message, tok.line, tok.column)
-
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        if tok.kind == "eof":
-            return "end of input"
-        return repr(tok.value)

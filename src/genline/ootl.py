@@ -25,7 +25,7 @@ names. Checking happens on in-memory containers before anything is written.
 
 from __future__ import annotations
 
-from .lexing import MAX_NESTING, TextSyntaxError, Token, TokenStream, tokenize
+from .lexing import MAX_NESTING, TextSyntaxError, TokenStream, tokenize
 
 _PUNCTS = ("{", "}", "(", ")", ";", ",", ".", "=")
 
@@ -44,16 +44,9 @@ def check_unit(text: str) -> tuple[str, int, int] | None:
     return None
 
 
-def _name(ts: TokenStream, what: str) -> Token:
-    tok = ts.expect_ident(what)
-    if tok.value in _KEYWORDS:
-        raise TextSyntaxError(f"expected {what}, found keyword {tok.value!r}", tok.line, tok.column)
-    return tok
-
-
 def _unit(ts: TokenStream) -> None:
     ts.expect_keyword("package")
-    _name(ts, "package name")
+    ts.expect_name("package name", _KEYWORDS)
     ts.expect_punct(";")
     if ts.accept_ident("class"):
         _classd(ts)
@@ -62,23 +55,19 @@ def _unit(ts: TokenStream) -> None:
     elif ts.accept_ident("enum"):
         _enumd(ts)
     else:
-        tok = ts.peek()
-        found = "end of input" if tok.kind == "eof" else repr(tok.value)
-        raise TextSyntaxError(
-            f"expected 'class', 'interface' or 'enum', found {found}", tok.line, tok.column
-        )
+        ts.expected("'class', 'interface' or 'enum'")
     if not ts.at_end():
         ts.error("unexpected trailing input")
 
 
 def _classd(ts: TokenStream) -> None:
-    _name(ts, "class name")
+    ts.expect_name("class name", _KEYWORDS)
     if ts.accept_ident("extends"):
-        _name(ts, "superclass name")
+        ts.expect_name("superclass name", _KEYWORDS)
     if ts.accept_ident("implements"):
-        _name(ts, "interface name")
+        ts.expect_name("interface name", _KEYWORDS)
         while ts.accept_punct(","):
-            _name(ts, "interface name")
+            ts.expect_name("interface name", _KEYWORDS)
     ts.expect_punct("{")
     while not ts.at_punct("}"):
         _member(ts)
@@ -86,7 +75,7 @@ def _classd(ts: TokenStream) -> None:
 
 
 def _member(ts: TokenStream) -> None:
-    _name(ts, "member type or constructor name")
+    ts.expect_name("member type or constructor name", _KEYWORDS)
     if ts.at_punct("("):
         # constructor: IDENT "(" [params] ")" block
         ts.expect_punct("(")
@@ -94,7 +83,7 @@ def _member(ts: TokenStream) -> None:
         ts.expect_punct(")")
         _block(ts)
         return
-    _name(ts, "member name")
+    ts.expect_name("member name", _KEYWORDS)
     if ts.accept_punct(";"):
         return  # field
     if not ts.at_punct("("):
@@ -108,11 +97,11 @@ def _member(ts: TokenStream) -> None:
 
 
 def _ifaced(ts: TokenStream) -> None:
-    _name(ts, "interface name")
+    ts.expect_name("interface name", _KEYWORDS)
     ts.expect_punct("{")
     while not ts.at_punct("}"):
-        _name(ts, "return type")
-        _name(ts, "operation name")
+        ts.expect_name("return type", _KEYWORDS)
+        ts.expect_name("operation name", _KEYWORDS)
         ts.expect_punct("(")
         _params(ts)
         ts.expect_punct(")")
@@ -121,22 +110,22 @@ def _ifaced(ts: TokenStream) -> None:
 
 
 def _enumd(ts: TokenStream) -> None:
-    _name(ts, "enum name")
+    ts.expect_name("enum name", _KEYWORDS)
     ts.expect_punct("{")
-    _name(ts, "enum constant")
+    ts.expect_name("enum constant", _KEYWORDS)
     while ts.accept_punct(","):
-        _name(ts, "enum constant")
+        ts.expect_name("enum constant", _KEYWORDS)
     ts.expect_punct("}")
 
 
 def _params(ts: TokenStream) -> None:
     if ts.at_punct(")"):
         return
-    _name(ts, "parameter type")
-    _name(ts, "parameter name")
+    ts.expect_name("parameter type", _KEYWORDS)
+    ts.expect_name("parameter name", _KEYWORDS)
     while ts.accept_punct(","):
-        _name(ts, "parameter type")
-        _name(ts, "parameter name")
+        ts.expect_name("parameter type", _KEYWORDS)
+        ts.expect_name("parameter name", _KEYWORDS)
 
 
 def _block(ts: TokenStream) -> None:
@@ -152,22 +141,21 @@ def _stmt(ts: TokenStream) -> None:
             _expr(ts)
         ts.expect_punct(";")
         return
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.value in ("new", "this"):
+    if ts.at_ident("new") or ts.at_ident("this"):
         _expr(ts)
         ts.expect_punct(";")
         return
-    _name(ts, "statement")
+    ts.expect_name("statement", _KEYWORDS)
     nxt = ts.peek()
     if nxt.kind == "ident" and nxt.value not in _KEYWORDS:
         # local declaration: type IDENT "=" expr ";"
-        _name(ts, "variable name")
+        ts.expect_name("variable name", _KEYWORDS)
         ts.expect_punct("=")
         _expr(ts)
         ts.expect_punct(";")
         return
     while ts.accept_punct("."):
-        _name(ts, "member name")
+        ts.expect_name("member name", _KEYWORDS)
     if ts.accept_punct("="):
         _expr(ts)
         ts.expect_punct(";")
@@ -179,15 +167,15 @@ def _stmt(ts: TokenStream) -> None:
 
 def _expr(ts: TokenStream, depth: int = 0) -> None:
     if ts.accept_ident("new"):
-        _name(ts, "class name")
+        ts.expect_name("class name", _KEYWORDS)
         ts.expect_punct("(")
         ts.expect_punct(")")
         return
     if ts.accept_ident("this"):
         return
-    _name(ts, "expression")
+    ts.expect_name("expression", _KEYWORDS)
     while ts.accept_punct("."):
-        _name(ts, "member name")
+        ts.expect_name("member name", _KEYWORDS)
     if ts.at_punct("("):
         _call_args(ts, depth + 1)
 

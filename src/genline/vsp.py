@@ -17,213 +17,126 @@ spec file's directory when a base directory is supplied.
 from __future__ import annotations
 
 import os
+import re
 
 from .components import BINDING_MODES, VariantSpec
 from .featuremodel import Configuration
-from .lexing import TextSyntaxError
+from .lexing import TextSyntaxError, TokenStream, tokenize
 
 VspSyntaxError = TextSyntaxError
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, pos: int | None = None) -> None:
-        at = self.pos if pos is None else pos
-        before = self.text[:at]
-        line = before.count("\n") + 1
-        column = at - (before.rfind("\n") + 1) + 1
-        raise VspSyntaxError(message, line, column)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif self.text.startswith("//", self.pos):
-                end = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if end < 0 else end + 1
-            else:
-                return
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def accept(self, literal: str) -> bool:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            return False
-        end = self.pos + len(literal)
-        if literal[-1] in _IDENT_CONT and end < len(self.text) and self.text[end] in _IDENT_CONT:
-            return False  # keyword is a prefix of a longer word
-        self.pos = end
-        return True
-
-    def expect(self, literal: str, what: str | None = None) -> None:
-        if not self.accept(literal):
-            found = self.text[self.pos:self.pos + 12] or "end of input"
-            self.error(f"expected {what or literal!r}, found {found!r}")
-
-    def read_ident(self, what: str) -> str:
-        self.skip_ws()
-        start = self.pos
-        if start >= len(self.text) or self.text[start] not in _IDENT_START:
-            self.error(f"expected {what}")
-        end = start + 1
-        while end < len(self.text) and self.text[end] in _IDENT_CONT:
-            end += 1
-        self.pos = end
-        return self.text[start:end]
-
-    def read_quoted(self, what: str) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != '"':
-            self.error(f"expected quoted {what}")
-        start = self.pos
-        self.pos += 1
-        out: list[str] = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\" and self.pos + 1 < len(self.text):
-                out.append(self.text[self.pos + 1])
-                self.pos += 2
-                continue
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\n":
-                break
-            out.append(ch)
-            self.pos += 1
-        self.error(f"unterminated quoted {what}", start)
-        return ""  # unreachable
-
-    def read_path(self, what: str) -> str:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == '"':
-            return self.read_quoted(what)
-        start = self.pos
-        end = self.text.find(";", start)
-        if end < 0:
-            self.error(f"expected {what} ending with ';'")
-        raw = self.text[start:end].strip()
-        if not raw or "\n" in raw:
-            self.error(f"expected {what} before ';'", start)
-        self.pos = end
-        return raw
-
-    def read_value(self) -> object:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == '"':
-            return self.read_quoted("value")
-        word = self.read_ident("option value")
-        if word == "true":
-            return True
-        if word == "false":
-            return False
-        return word
+_PUNCTS = ("{", "}", "[", "]", ":", ";", ",", ".", "=")
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_variant_spec(source: str, base_dir: str | None = None) -> VariantSpec:
     """Parse VSP text; with base_dir, resolve relative model and out paths."""
-    cur = _Cursor(source)
-    cur.expect("variant", "'variant'")
-    name = cur.read_ident("variant name")
-    cur.expect("{")
-    cur.expect("model", "'model:'")
-    cur.expect(":")
-    model_path = cur.read_path("model path")
-    cur.expect(";")
-    cur.expect("features", "'features:'")
-    cur.expect(":")
-    cur.expect("[")
-    features = [cur.read_ident("feature id")]
-    while cur.accept(","):
-        features.append(cur.read_ident("feature id"))
-    cur.expect("]")
-    cur.expect(";")
+    ts = TokenStream(tokenize(source, _PUNCTS, vsp=True))
+    ts.expect_keyword("variant")
+    name = ts.expect_ident("variant name").value
+    ts.expect_punct("{")
+    model_path = _path(ts, "model", "model path")
+    _key(ts, "features")
+    ts.expect_punct("[")
+    features = [ts.expect_ident("feature id").value]
+    while ts.accept_punct(","):
+        features.append(ts.expect_ident("feature id").value)
+    ts.expect_punct("]")
+    ts.expect_punct(";")
+    options = _bindings(ts, "option", "option", quoted_only=False)
+    binds = _bindings(ts, "bind", "variation point", quoted_only=True)
+    _key(ts, "mode")
+    mode = ts.expect_ident("binding mode")
+    if mode.value not in BINDING_MODES:
+        raise VspSyntaxError(
+            f"unknown binding mode {mode.value!r}", mode.line, mode.column + len(mode.value)
+        )
+    ts.expect_punct(";")
+    out_path = _path(ts, "out", "output path")
+    ts.expect_punct("}")
+    if not ts.at_end():
+        ts.error("unexpected trailing input")
 
-    options: dict[str, object] = {}
-    while cur.accept("option"):
-        comp = cur.read_ident("component id")
-        cur.expect(".")
-        opt = cur.read_ident("option name")
-        cur.expect("=")
-        value = cur.read_value()
-        cur.expect(";")
-        key = f"{comp}.{opt}"
-        if key in options:
-            cur.error(f"option {key!r} bound twice")
-        options[key] = value
-
-    binds: dict[str, str] = {}
-    while cur.accept("bind"):
-        comp = cur.read_ident("component id")
-        cur.expect(".")
-        point = cur.read_ident("variation point name")
-        cur.expect("=")
-        value = cur.read_quoted("binding text")
-        cur.expect(";")
-        key = f"{comp}.{point}"
-        if key in binds:
-            cur.error(f"variation point {key!r} bound twice")
-        binds[key] = value
-
-    cur.expect("mode", "'mode:'")
-    cur.expect(":")
-    mode = cur.read_ident("binding mode")
-    if mode not in BINDING_MODES:
-        cur.error(f"unknown binding mode {mode!r}")
-    cur.expect(";")
-    cur.expect("out", "'out:'")
-    cur.expect(":")
-    out_path = cur.read_path("output path")
-    cur.expect(";")
-    cur.expect("}")
-    if not cur.at_end():
-        cur.error("unexpected trailing input")
-
-    if base_dir:
-        if not os.path.isabs(model_path):
-            model_path = os.path.join(base_dir, model_path)
-        if not os.path.isabs(out_path):
-            out_path = os.path.join(base_dir, out_path)
+    if base_dir:  # os.path.join keeps an absolute path as it is
+        model_path = os.path.join(base_dir, model_path)
+        out_path = os.path.join(base_dir, out_path)
 
     return VariantSpec(
         name=name,
         configuration=Configuration.of(*features),
         option_bindings=options,
         vp_bindings=binds,
-        mode=mode,
+        mode=mode.value,
         output_path=out_path,
         model_path=model_path,
     )
 
 
+def _key(ts: TokenStream, key: str) -> None:
+    if not ts.accept_ident(key):
+        ts.expected(f"'{key}:'")
+    ts.expect_punct(":")
+
+
+def _path(ts: TokenStream, key: str, what: str) -> str:
+    """``key: path;`` where the lexer has read the path as one token."""
+    _key(ts, key)
+    if ts.peek().kind not in ("path", "string"):
+        ts.expected(what)
+    path = ts.next().value
+    ts.expect_punct(";")
+    return path
+
+
+def _bindings(ts: TokenStream, keyword: str, what: str, quoted_only: bool) -> dict:
+    """``{keyword IDENT "." IDENT "=" value ";"}``, each key bound once."""
+    bound = {}
+    while ts.accept_ident(keyword):
+        comp = ts.expect_ident("component id").value
+        ts.expect_punct(".")
+        key = f"{comp}.{ts.expect_ident(f'{what} name').value}"
+        ts.expect_punct("=")
+        if ts.peek().kind == "string":
+            value = ts.next().value
+        elif quoted_only:
+            ts.expected("quoted binding text")
+        else:
+            word = ts.expect_ident("option value").value
+            value = {"true": True, "false": False}.get(word, word)
+        end = ts.expect_punct(";")
+        if key in bound:
+            raise VspSyntaxError(f"{what} {key!r} bound twice", end.line, end.column + 1)
+        bound[key] = value
+    return bound
+
+
 def format_variant_spec(spec: VariantSpec) -> str:
-    """Render a spec back to VSP text (paths as given, options sorted)."""
+    """Render a spec back to VSP text that parses to an equal spec."""
     lines = [f"variant {spec.name} {{"]
-    lines.append(f"  model: {spec.model_path};")
+    lines.append(f"  model: {_path_text(spec.model_path or '')};")
     lines.append("  features: [" + ", ".join(sorted(spec.configuration.selected)) + "];")
     for key in sorted(spec.option_bindings):
         value = spec.option_bindings[key]
         if isinstance(value, bool):
             text = "true" if value else "false"
-        elif isinstance(value, str) and value.isidentifier():
+        elif isinstance(value, str) and _WORD.fullmatch(value) and value not in ("true", "false"):
             text = value
         else:
-            text = '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+            text = _quoted(str(value))
         lines.append(f"  option {key} = {text};")
     for key in sorted(spec.vp_bindings):
-        value = spec.vp_bindings[key].replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  bind {key} = "{value}";')
+        lines.append(f"  bind {key} = {_quoted(spec.vp_bindings[key])};")
     lines.append(f"  mode: {spec.mode};")
-    lines.append(f"  out: {spec.output_path};")
+    lines.append(f"  out: {_path_text(spec.output_path)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _quoted(text: str) -> str:
+    return '"' + re.sub(r'([\\"\n])', r"\\\1", text) + '"'
+
+
+def _path_text(path: str) -> str:
+    """A path bare where it reads back the same, else quoted."""
+    bare = path and path == path.strip() and ";" not in path and "\n" not in path
+    return path if bare and not path.startswith(('"', "//")) else _quoted(path)

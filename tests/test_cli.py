@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import shutil
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,29 @@ def test_bytes_that_are_not_utf8_never_raise(tmp_path, damaged, command, expecte
         assert out == "unknown artifact: Person.oo\n"
 
 
+def test_generate_refuses_a_directory_it_did_not_write(tmp_path):
+    vsp = write_variant(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "notes.txt").write_text("keep me\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run("generate", "-s", str(vsp))
+    assert code == EXIT_GENERATION and out == ""
+    assert "refusing to replace" in err and "notes.txt" in err
+    assert read_tree(tmp_path / "out") == {"notes.txt": b"keep me\n"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no stage left behind
+    # An empty directory, and one holding an earlier output, are replaced.
+    (tmp_path / "out" / "notes.txt").unlink()
+    assert run("generate", "-s", str(vsp))[0] == EXIT_OK
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    assert "notes.txt" not in read_tree(tmp_path / "out")
+    # A plain file in the place of the directory stays, too.
+    shutil.rmtree(tmp_path / "out")
+    (tmp_path / "out").write_text("keep me\n")
+    code, _, err = run("generate", "-s", str(vsp))
+    assert code == EXIT_GENERATION and "not a directory" in err
+    assert (tmp_path / "out").read_text() == "keep me\n"
+
+
 def test_generate_rejects_malformed_input_model(tmp_path):
     vsp = write_variant(tmp_path, cdl="classdiagram Shop { class }\n")
     code, _, err = run("generate", "-s", str(vsp))
@@ -345,3 +369,26 @@ def test_unknown_and_missing_commands():
 def test_main_uses_stdio(capsys):
     assert main(["enumerate"]) == EXIT_OK
     assert capsys.readouterr().out == "32\n"
+
+
+# ---------------------------------------------------------------------------
+# benchmark hook points
+
+def test_benchmark_hook_points_see_a_generate(tmp_path, monkeypatch):
+    # genbench/tracing.py wraps genline functions where their callers look
+    # them up (genline.ootl.tokenize, ...). A refactor that calls one another
+    # way silently drops that layer from the benchmark's per-layer numbers.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "genbench"))
+    import tracing
+
+    vsp = write_variant(tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _, err = run("generate", "-s", str(vsp))
+    finally:
+        tracer.uninstall()
+    assert code == EXIT_OK, err
+    spans = {name for name, *_ in tracer.spans}
+    assert {"vsp.parse_variant_spec", "ootl.check_unit", "lexing.tokenize"} <= spans
+    assert tracer.counts["lexing.tokens"] > 0

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genline.components import BINDING_MODES, VariantSpec
+from genline.featuremodel import Configuration
 from genline.vsp import VspSyntaxError, format_variant_spec, parse_variant_spec
 
 FULL_VSP = """\
@@ -130,3 +134,79 @@ def test_sections_must_appear_in_order():
     )
     with pytest.raises(VspSyntaxError, match="'mode:'"):
         parse_variant_spec(option_after_bind)
+
+
+def _spec(model="m", between="", mode="hybrid", out="o", after=""):
+    return (
+        f"variant v {{\n  model: {model};\n  features: [A];\n{between}"
+        f"  mode: {mode};\n  out: {out};\n}}{after}\n"
+    )
+
+
+# (source, the parsed fields or the error as (message, line, column))
+EDGE_CASES = {
+    "path on the line after model:": (_spec(model="\n    m.cdl"), {"model_path": "m.cdl"}),
+    "comment before the path": (_spec(model="// the model\n  m.cdl"), {"model_path": "m.cdl"}),
+    "spaces and // inside a path": (_spec(model="my dir//m.cdl "), {"model_path": "my dir//m.cdl"}),
+    "- ~ and .. in a bare path": (_spec(out="../~gen-out..x"), {"output_path": "../~gen-out..x"}),
+    "path starting with [": (_spec(model="[m].cdl"), {"model_path": "[m].cdl"}),
+    "quoted path": (_spec(out='"a;b"'), {"output_path": "a;b"}),
+    "mode on the next line": (_spec(mode="\n    run_time"), {"mode": "run_time"}),
+    "escapes in quoted text": (
+        _spec(between='  bind C.p = "a\\"b\\\\c\\nd";\n'), {"vp_bindings": {"C.p": 'a"b\\cnd'}},
+    ),
+    "empty path": (_spec(model=""), ("expected path before ';'", 2, 10)),
+    "path without ';'": ("variant v { model: m }", ("expected path ending with ';'", 1, 20)),
+    "model path at end of input": ("variant v { model:", ("expected model path, found end of input", 1, 19)),
+    "unknown mode, after the word": (_spec(mode="lazy"), ("unknown binding mode 'lazy'", 4, 13)),
+    "bound twice, after the ';'": (
+        _spec(between="  option C.x = a;\n  option C.x = b;\n"), ("option 'C.x' bound twice", 5, 18),
+    ),
+    # The lexer reads the whole text first, so a bad character is reported
+    # before the syntax error ("unexpected trailing input" at 'extra') that
+    # comes earlier in the text.
+    "lexical error after a syntax error": (
+        _spec(after=" extra $"), ("unexpected character '$'", 6, 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("source, expected", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_parse_edge_cases(source, expected):
+    if isinstance(expected, dict):
+        spec = parse_variant_spec(source)
+        assert {field: getattr(spec, field) for field in expected} == expected
+    else:
+        with pytest.raises(VspSyntaxError) as err:
+            parse_variant_spec(source)
+        assert (err.value.message, err.value.line, err.value.column) == expected
+
+
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
+_KEY = st.builds(lambda comp, name: f"{comp}.{name}", _IDENT, _IDENT)
+_TEXT = st.text(st.sampled_from('ab \t\\"\n;/:{}[]é'), max_size=12)
+_BARE_PATH = st.from_regex(r"[A-Za-z0-9_./~-]([A-Za-z0-9_./~ -]{0,10}[A-Za-z0-9_./~-])?", fullmatch=True)
+_PATH = st.one_of(_BARE_PATH, _TEXT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=_IDENT,
+    features=st.frozensets(_IDENT, min_size=1, max_size=4),
+    options=st.dictionaries(_KEY, st.one_of(st.booleans(), _IDENT, _TEXT), max_size=3),
+    binds=st.dictionaries(_KEY, _TEXT, max_size=3),
+    mode=st.sampled_from(BINDING_MODES),
+    model=_PATH,
+    out=_PATH,
+)
+def test_format_then_parse_round_trips(name, features, options, binds, mode, model, out):
+    spec = VariantSpec(
+        name=name,
+        configuration=Configuration(features),
+        option_bindings=options,
+        vp_bindings=binds,
+        mode=mode,
+        output_path=out,
+        model_path=model,
+    )
+    assert parse_variant_spec(format_variant_spec(spec)) == spec
