@@ -80,6 +80,7 @@ class EnumDecl:
     constants: tuple[str, ...] = ()
     line: int = 0
     column: int = 0
+    constant_positions: tuple[tuple[int, int], ...] = ()  # (line, column) per constant
 
 
 TypeDecl = Union[ClassDecl, InterfaceDecl, EnumDecl]
@@ -89,6 +90,8 @@ TypeDecl = Union[ClassDecl, InterfaceDecl, EnumDecl]
 class ClassDiagram:
     name: str
     types: tuple[TypeDecl, ...] = ()
+    line: int = 0
+    column: int = 0
 
     def classes(self) -> tuple[ClassDecl, ...]:
         return tuple(t for t in self.types if isinstance(t, ClassDecl))
@@ -110,7 +113,7 @@ def parse_class_diagram(source: str) -> ClassDiagram:
     """Parse CDL text, preserving declaration order and source positions."""
     ts = TokenStream(tokenize(source, _PUNCTS))
     ts.expect_keyword("classdiagram")
-    name = ts.expect_name("diagram name", _RESERVED).value
+    name_tok = ts.expect_name("diagram name", _RESERVED)
     ts.expect_punct("{")
     types: list[TypeDecl] = []
     while not ts.at_punct("}"):
@@ -118,7 +121,7 @@ def parse_class_diagram(source: str) -> ClassDiagram:
     ts.expect_punct("}")
     if not ts.at_end():
         ts.error("unexpected trailing input")
-    return ClassDiagram(name=name, types=tuple(types))
+    return ClassDiagram(name_tok.value, tuple(types), name_tok.line, name_tok.column)
 
 
 def _parse_element(ts: TokenStream) -> TypeDecl:
@@ -200,9 +203,8 @@ def _parse_interface(ts: TokenStream) -> InterfaceDecl:
 def _parse_enum(ts: TokenStream) -> EnumDecl:
     name_tok = ts.expect_ident("enum name")
     ts.expect_punct("{")
-    first = ts.expect_ident("enum constant")
-    constants = [first.value]
-    seen = {first.value}
+    tokens = [ts.expect_ident("enum constant")]
+    seen = {tokens[0].value}
     while ts.accept_punct(","):
         const_tok = ts.expect_ident("enum constant")
         if const_tok.value in seen:
@@ -212,13 +214,14 @@ def _parse_enum(ts: TokenStream) -> EnumDecl:
                 const_tok.column,
             )
         seen.add(const_tok.value)
-        constants.append(const_tok.value)
+        tokens.append(const_tok)
     ts.expect_punct("}")
     return EnumDecl(
         name=name_tok.value,
-        constants=tuple(constants),
+        constants=tuple(tok.value for tok in tokens),
         line=name_tok.line,
         column=name_tok.column,
+        constant_positions=tuple((tok.line, tok.column) for tok in tokens),
     )
 
 

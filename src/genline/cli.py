@@ -21,8 +21,6 @@ from .components import (
     ResolutionError,
     VariantSpec,
     check_bindings,
-    effective_variation_points,
-    qualified_options,
     resolve_components,
 )
 from .composition import CompositionFault, compose_all, schedule, validate_composition
@@ -171,26 +169,27 @@ def _cmd_enumerate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _derive(model: FeatureModel, spec: VariantSpec, err: TextIO):
-    """Shared front half of derive and generate; returns the composed generator."""
+    """Shared front half of derive and generate: (exit code, composed generator,
+    bindings), with None for both when the variant is rejected."""
     config_report = validate_configuration(model, spec.configuration)
     if not config_report.valid:
         _print_violations(config_report, err)
-        return EXIT_CONFIG, None
+        return EXIT_CONFIG, None, None
     registry = build_reference_registry(model)
     components = resolve_components(spec.configuration, registry)
-    composed = compose_all(components, model)
-    check_bindings(spec, composed.components)
+    composed = compose_all(components)
+    bindings = check_bindings(spec, composed.components)
     composition_report = validate_composition(composed, spec)
     if not composition_report.valid:
         _print_violations(composition_report, err)
-        return EXIT_COMPOSITION, None
-    return EXIT_OK, composed
+        return EXIT_COMPOSITION, None, None
+    return EXIT_OK, composed, bindings
 
 
 def _cmd_derive(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     model = _load_model(args.model)
     spec = _load_spec(args.spec)
-    code, composed = _derive(model, spec, err)
+    code, composed, bindings = _derive(model, spec, err)
     if composed is None:
         return code
     print(f"variant {spec.name}", file=out)
@@ -200,21 +199,17 @@ def _cmd_derive(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         + ", ".join(f"{c.id} {c.version}" for c in composed.components),
         file=out,
     )
-    options = qualified_options(composed.components, spec)
+    options = bindings.qualified()
     if options:
         print("options:", file=out)
-        for key in sorted(options):
-            value = options[key]
+        for key, value in sorted(options.items()):
             text = ("true" if value else "false") if isinstance(value, bool) else str(value)
             print(f"  {key} = {text}", file=out)
-    vp_lines = []
-    for comp in composed.components:
-        for name, value in sorted(effective_variation_points(comp, spec).items()):
-            vp_lines.append(f"  {comp.id}.{name} = {value!r}")
-    if vp_lines:
+    vps = {f"{cid}.{name}": text for cid, texts in bindings.vps.items() for name, text in texts.items()}
+    if vps:
         print("variation points:", file=out)
-        for line in vp_lines:
-            print(line, file=out)
+        for key, text in sorted(vps.items()):
+            print(f"  {key} = {text!r}", file=out)
     print(f"mode: {spec.mode}", file=out)
     steps = schedule(composed, spec)
     print("schedule:", file=out)
@@ -232,7 +227,7 @@ def _read_diagram(spec: VariantSpec):
 def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     model = _load_model(args.model)
     spec = _load_spec(args.spec)
-    code, composed = _derive(model, spec, err)
+    code, composed, _ = _derive(model, spec, err)
     if composed is None:
         return code
     try:

@@ -165,11 +165,6 @@ def kind_error(kind: str, message: str) -> ValueError:
     return RegistrationError(message) if kind == "register" else OptionBindingError(message)
 
 
-def _check_pattern(value: str, where: str) -> None:
-    if value.count("%s") != 1:
-        raise OptionBindingError(f"{where}: name pattern must contain '%s' exactly once, got {value!r}")
-
-
 def _atom_ok(ref: str, model: FeatureModel, by_id: Mapping[str, GeneratorComponent]) -> bool:
     if "." in ref:
         comp_id, _, opt_name = ref.partition(".")
@@ -314,117 +309,78 @@ def resolve_components(
 
 
 # ---------------------------------------------------------------------------
-# Effective option and variation point values
+# Bindings: a variant's option values and variation point texts
 
-def effective_configuration(
-    component: GeneratorComponent, spec: VariantSpec
-) -> dict[str, object]:
-    """Resolve option values for one component under a variant spec.
+@dataclass(frozen=True)
+class Bindings:
+    """Resolved option values and variation point texts, per component id."""
 
-    Precedence: feature-forced values, then explicit bindings, then declared
-    defaults. A binding that contradicts a forced value is an error, not a
-    silent override.
+    options: Mapping[str, Mapping[str, object]]
+    vps: Mapping[str, Mapping[str, str]]
+
+    def qualified(self) -> dict[str, object]:
+        """Every option value keyed ``Component.option``, as formula atoms name it."""
+        return {
+            f"{comp_id}.{name}": value
+            for comp_id, values in self.options.items()
+            for name, value in values.items()
+        }
+
+
+def check_bindings(spec: VariantSpec, components: Sequence[GeneratorComponent]) -> Bindings:
+    """Resolve a variant's bindings for the participating components.
+
+    An option takes the value a selected feature forces, else its bound value,
+    else its declared default; a binding that contradicts a forced value is an
+    error, not a silent override. A variation point takes its bound text, else
+    its default. Raises OptionBindingError on a binding that addresses no
+    participating component or declaration, has the wrong type, or is a name
+    pattern without exactly one ``%s``, and on an unknown binding mode.
     """
-    values: dict[str, object] = {opt.name: opt.default for opt in component.interface.options}
-    bound: set[str] = set()
-    prefix = component.id + "."
+    where = f"variant {spec.name!r}"
+    ordered = sorted(components, key=lambda c: c.id)
+    by_id = {c.id: c for c in ordered}
+    options = {c.id: {o.name: o.default for o in c.interface.options} for c in ordered}
+    vps = {c.id: {v.name: v.default for v in c.interface.variation_points} for c in ordered}
+
+    def target(key: str, what: str, form: str) -> tuple[GeneratorComponent, str]:
+        comp_id, dot, name = key.partition(".")
+        if not dot:
+            raise OptionBindingError(f"{where}: {what} {key!r} is not of the form Component.{form}")
+        if comp_id not in by_id:
+            raise OptionBindingError(f"{where}: {what} {key!r} addresses no participating component")
+        return by_id[comp_id], name
+
     for key, value in sorted(spec.option_bindings.items()):
-        if not key.startswith(prefix):
-            continue
-        name = key[len(prefix):]
-        opt = component.interface.option(name)
+        comp, name = target(key, "option binding", "option")
+        opt = comp.interface.option(name)
         if opt is None:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: component {component.id!r} has no option {name!r}"
-            )
-        _check_value_type("bind", opt, value, f"variant {spec.name!r}")
-        values[name] = value
-        bound.add(name)
-    for forced in component.forced:
-        if forced.feature not in spec.configuration.selected:
-            continue
-        if forced.option in bound and values[forced.option] != forced.value:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: option {component.id}.{forced.option} is forced to "
-                f"{forced.value!r} by feature {forced.feature!r} but bound to "
-                f"{values[forced.option]!r}"
-            )
-        values[forced.option] = forced.value
-    return values
-
-
-def effective_variation_points(
-    component: GeneratorComponent, spec: VariantSpec
-) -> dict[str, str]:
-    """Resolve variation point texts for one component under a variant spec."""
-    values: dict[str, str] = {
-        vp.name: vp.default for vp in component.interface.variation_points
-    }
-    prefix = component.id + "."
+            raise OptionBindingError(f"{where}: component {comp.id!r} has no option {name!r}")
+        _check_value_type("bind", opt, value, where)
+        options[comp.id][name] = value
+    for comp in ordered:
+        for forced in comp.forced:
+            if forced.feature not in spec.configuration.selected:
+                continue
+            bound = spec.option_bindings.get(f"{comp.id}.{forced.option}", forced.value)
+            if bound != forced.value:
+                raise OptionBindingError(
+                    f"{where}: option {comp.id}.{forced.option} is forced to {forced.value!r} "
+                    f"by feature {forced.feature!r} but bound to {bound!r}"
+                )
+            options[comp.id][forced.option] = forced.value
     for key, value in sorted(spec.vp_bindings.items()):
-        if not key.startswith(prefix):
-            continue
-        name = key[len(prefix):]
-        vp = component.interface.variation_point(name)
+        comp, name = target(key, "binding", "point")
+        vp = comp.interface.variation_point(name)
         if vp is None:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: component {component.id!r} has no variation point {name!r}"
-            )
+            raise OptionBindingError(f"{where}: component {comp.id!r} has no variation point {name!r}")
         if not isinstance(value, str):
+            raise OptionBindingError(f"{where}: variation point {key!r} needs text, got {value!r}")
+        if vp.kind == "name_pattern" and value.count("%s") != 1:
             raise OptionBindingError(
-                f"variant {spec.name!r}: variation point {key!r} needs text, got {value!r}"
+                f"{where}: name pattern must contain '%s' exactly once, got {value!r}"
             )
-        if vp.kind == "name_pattern":
-            _check_pattern(value, f"variant {spec.name!r}")
-        values[name] = value
-    return values
-
-
-def check_bindings(spec: VariantSpec, components: Sequence[GeneratorComponent]) -> None:
-    """Reject bindings that address no participating component or declaration."""
-    by_id = {c.id: c for c in components}
-    for key in sorted(spec.option_bindings):
-        comp_id, dot, name = key.partition(".")
-        if not dot:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: option binding {key!r} is not of the form Component.option"
-            )
-        comp = by_id.get(comp_id)
-        if comp is None:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: option binding {key!r} addresses no participating component"
-            )
-        if comp.interface.option(name) is None:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: component {comp_id!r} has no option {name!r}"
-            )
-    for key in sorted(spec.vp_bindings):
-        comp_id, dot, name = key.partition(".")
-        if not dot:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: binding {key!r} is not of the form Component.point"
-            )
-        comp = by_id.get(comp_id)
-        if comp is None:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: binding {key!r} addresses no participating component"
-            )
-        if comp.interface.variation_point(name) is None:
-            raise OptionBindingError(
-                f"variant {spec.name!r}: component {comp_id!r} has no variation point {name!r}"
-            )
+        vps[comp.id][name] = value
     if spec.mode not in BINDING_MODES:
-        raise OptionBindingError(
-            f"variant {spec.name!r}: unknown binding mode {spec.mode!r}"
-        )
-
-
-def qualified_options(
-    components: Sequence[GeneratorComponent], spec: VariantSpec
-) -> dict[str, object]:
-    """All effective option values across components, keyed Component.option."""
-    values: dict[str, object] = {}
-    for comp in components:
-        for name, value in effective_configuration(comp, spec).items():
-            values[f"{comp.id}.{name}"] = value
-    return values
+        raise OptionBindingError(f"{where}: unknown binding mode {spec.mode!r}")
+    return Bindings(options, vps)

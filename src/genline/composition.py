@@ -1,11 +1,12 @@
 """Composition of generator components into a single composed generator.
 
 Composition is a two-stage discipline. The compose step is structural: it
-merges interfaces, orders behaviors, and fails only on problems that make the
-merge itself meaningless (duplicate ids, conflicting concerns). Everything
-that depends on a concrete variant (constraints, producer coverage, hook
-matching) is checked afterwards by validate_composition and reported, not
-raised, so callers can collect every problem at once.
+orders behaviors and fails only on problems that make the member set itself
+meaningless (duplicate ids, conflicting concerns). Everything that depends on
+a concrete variant (bindings, constraints, producer coverage, hook matching)
+is checked afterwards by validate_composition, which reads the member
+interfaces directly, and reported, not raised, so callers can collect every
+problem at once.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from .components import (
     Behavior,
     GeneratorComponent,
     OptionBindingError,
-    OptionDecl,
     PHASES,
     VariantSpec,
-    VariationPoint,
-    qualified_options,
+    check_bindings,
 )
-from .featuremodel import FeatureModel
 from .report import ValidationReport, Violation
 
 CMP_DUP_ID = "CMP-DUP-ID"
@@ -47,20 +45,6 @@ class CompositionFault(Exception):
 
 
 @dataclass(frozen=True)
-class MergedInterface:
-    """Union of the member interfaces, with names qualified by owner."""
-
-    concerns: frozenset[tuple[str, str]]
-    constraints: tuple[tuple[str, fm.Formula], ...]  # (owner id, formula)
-    options: tuple[tuple[str, OptionDecl], ...]  # (qualified name, declaration)
-    variation_points: tuple[tuple[str, VariationPoint], ...]
-    produces: frozenset[str]
-    consumes: frozenset[str]
-    hooks_provided: tuple[tuple[str, str], ...]  # (owner id, pattern)
-    hooks_required: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class ScheduledStep:
     phase: str
     component_id: str
@@ -70,10 +54,8 @@ class ScheduledStep:
 @dataclass(frozen=True)
 class ComposedGenerator:
     components: tuple[GeneratorComponent, ...]  # sorted by id
-    interface: MergedInterface
     full_schedule: tuple[ScheduledStep, ...]
     fact_cycle: tuple[str, ...]  # component ids on a cycle, empty when acyclic
-    model: FeatureModel | None = None
 
     def component(self, component_id: str) -> GeneratorComponent:
         for comp in self.components:
@@ -96,37 +78,6 @@ def _members(value: Composable) -> tuple[GeneratorComponent, ...]:
     if isinstance(value, ComposedGenerator):
         return value.components
     return (value,)
-
-
-def _merge_interface(components: Sequence[GeneratorComponent]) -> MergedInterface:
-    concerns: set[tuple[str, str]] = set()
-    constraints: list[tuple[str, fm.Formula]] = []
-    options: list[tuple[str, OptionDecl]] = []
-    vps: list[tuple[str, VariationPoint]] = []
-    produces: set[str] = set()
-    consumes: set[str] = set()
-    provided: list[tuple[str, str]] = []
-    required: list[tuple[str, str]] = []
-    for comp in components:
-        iface = comp.interface
-        concerns |= iface.concerns
-        constraints.extend((comp.id, c) for c in iface.constraints)
-        options.extend((f"{comp.id}.{o.name}", o) for o in iface.options)
-        vps.extend((f"{comp.id}.{v.name}", v) for v in iface.variation_points)
-        produces |= iface.produces
-        consumes |= iface.consumes
-        provided.extend((comp.id, p) for p in sorted(iface.hooks_provided))
-        required.extend((comp.id, p) for p in sorted(iface.hooks_required))
-    return MergedInterface(
-        concerns=frozenset(concerns),
-        constraints=tuple(constraints),
-        options=tuple(sorted(options, key=lambda item: item[0])),
-        variation_points=tuple(sorted(vps, key=lambda item: item[0])),
-        produces=frozenset(produces),
-        consumes=frozenset(consumes),
-        hooks_provided=tuple(provided),
-        hooks_required=tuple(required),
-    )
 
 
 def _topological_ranks(
@@ -190,27 +141,17 @@ def _build_schedule(
     return tuple(steps)
 
 
-def compose(
-    left: Composable, right: Composable, model: FeatureModel | None = None
-) -> ComposedGenerator:
+def compose(left: Composable, right: Composable) -> ComposedGenerator:
     """Merge two components or composed generators into one.
 
     The result is canonical in the member set: composing in any order or
     grouping yields an identical generator. Raises CompositionFault on
     duplicate component ids or conflicting concern descriptions.
     """
-    members = _members(left) + _members(right)
-    if model is None:
-        for side in (left, right):
-            if isinstance(side, ComposedGenerator) and side.model is not None:
-                model = side.model
-                break
-    return compose_all(members, model)
+    return compose_all(_members(left) + _members(right))
 
 
-def compose_all(
-    components: Iterable[GeneratorComponent], model: FeatureModel | None = None
-) -> ComposedGenerator:
+def compose_all(components: Iterable[GeneratorComponent]) -> ComposedGenerator:
     """Compose a component set; a single canonical result for any ordering."""
     ordered = sorted(components, key=lambda c: c.id)
     seen: dict[str, GeneratorComponent] = {}
@@ -239,39 +180,38 @@ def compose_all(
     ranks, cycle = _topological_ranks(ordered)
     return ComposedGenerator(
         components=tuple(ordered),
-        interface=_merge_interface(ordered),
         full_schedule=_build_schedule(ordered, ranks),
         fact_cycle=cycle,
-        model=model,
     )
 
 
 def validate_composition(composed: ComposedGenerator, spec: VariantSpec) -> ValidationReport:
     """Check a composed generator against one variant spec.
 
-    Reports, in order: unsatisfied component constraints (attributed to the
-    declaring component), consumed topics no member produces, unmatched hook
+    Reports, in order: a binding that check_bindings rejects, or else the
+    unsatisfied component constraints (attributed to the declaring
+    component); consumed topics no member produces, unmatched hook
     requirements under run-time or hybrid binding, and fact cycles.
     """
     violations: list[Violation] = []
     selected = spec.configuration.selected
     try:
-        opts = qualified_options(composed.components, spec)
+        opts = check_bindings(spec, composed.components).qualified()
     except OptionBindingError as exc:
         violations.append(Violation(CMP_CONSTRAINT, (), str(exc)))
-        opts = {}
     else:
-        for owner, constraint in composed.interface.constraints:
-            if not fm.evaluate(constraint, selected, opts):
-                violations.append(
-                    Violation(
-                        CMP_CONSTRAINT,
-                        (owner,),
-                        f"constraint of component {owner!r} not satisfied: {constraint}",
+        for comp in composed.components:
+            for constraint in comp.interface.constraints:
+                if not fm.evaluate(constraint, selected, opts):
+                    violations.append(
+                        Violation(
+                            CMP_CONSTRAINT,
+                            (comp.id,),
+                            f"constraint of component {comp.id!r} not satisfied: {constraint}",
+                        )
                     )
-                )
 
-    produced = composed.interface.produces
+    produced = frozenset().union(*(c.interface.produces for c in composed.components))
     for comp in composed.components:
         for topic in sorted(comp.interface.consumes - produced):
             violations.append(
@@ -283,14 +223,14 @@ def validate_composition(composed: ComposedGenerator, spec: VariantSpec) -> Vali
             )
 
     if spec.mode in ("run_time", "hybrid"):
-        provided_patterns = {pattern for _, pattern in composed.interface.hooks_provided}
-        for owner, pattern in composed.interface.hooks_required:
-            if pattern not in provided_patterns:
+        provided = frozenset().union(*(c.interface.hooks_provided for c in composed.components))
+        for comp in composed.components:
+            for pattern in sorted(comp.interface.hooks_required - provided):
                 violations.append(
                     Violation(
                         CMP_NO_PRODUCER,
-                        (owner, pattern),
-                        f"component {owner!r} requires hook {pattern!r}, which no member provides",
+                        (comp.id, pattern),
+                        f"component {comp.id!r} requires hook {pattern!r}, which no member provides",
                     )
                 )
 
@@ -315,7 +255,7 @@ def schedule(composed: ComposedGenerator, spec: VariantSpec) -> tuple[ScheduledS
             composed.fact_cycle,
         )
     selected = spec.configuration.selected
-    opts = qualified_options(composed.components, spec)
+    opts = check_bindings(spec, composed.components).qualified()
     steps = []
     for step in composed.full_schedule:
         _, beh = composed.behavior(step)

@@ -25,11 +25,10 @@ from .classdiagram import ClassDiagram, ContextCondition, check_context_conditio
 from .components import (
     FACT_TOPICS,
     PHASES,
+    Bindings,
     GeneratorComponent,
     VariantSpec,
     check_bindings,
-    effective_configuration,
-    effective_variation_points,
 )
 from .composition import ComposedGenerator, schedule
 from .report import ValidationReport, Violation
@@ -369,11 +368,7 @@ class GenContext:
     """The engine-side API handed to behaviors, one instance per run."""
 
     def __init__(
-        self,
-        composed: ComposedGenerator,
-        diagram: ClassDiagram,
-        spec: VariantSpec,
-        board: Blackboard,
+        self, diagram: ClassDiagram, spec: VariantSpec, bindings: Bindings, board: Blackboard
     ):
         self.spec = spec
         self.mode = spec.mode
@@ -385,20 +380,15 @@ class GenContext:
         self.containers: dict[str, ArtifactContainer] = {}
         self.claim_meta: dict[str, _ClaimMeta] = {}
         self._hits: frozenset[str] = frozenset()
-        self._options = {
-            c.id: effective_configuration(c, spec) for c in composed.components
-        }
-        self._vps = {
-            c.id: effective_variation_points(c, spec) for c in composed.components
-        }
+        self._bindings = bindings
 
     # -- variant views ------------------------------------------------------
 
     def options(self, component: GeneratorComponent) -> dict[str, object]:
-        return dict(self._options[component.id])
+        return dict(self._bindings.options[component.id])
 
     def vps(self, component: GeneratorComponent) -> dict[str, str]:
-        return dict(self._vps[component.id])
+        return dict(self._bindings.vps[component.id])
 
     # -- restrict phase ------------------------------------------------------
 
@@ -595,10 +585,10 @@ def _run_engine(
     spec: VariantSpec,
     cache: GenCache | None,
 ) -> tuple[GenerationReport, GenCache]:
-    check_bindings(spec, composed.components)
+    bindings = check_bindings(spec, composed.components)
     steps = schedule(composed, spec)
     board = Blackboard()
-    ctx = GenContext(composed, diagram, spec, board)
+    ctx = GenContext(diagram, spec, bindings, board)
     out_dir = Path(spec.output_path)
     keys: dict[str, str] = {}
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}

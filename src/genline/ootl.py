@@ -29,7 +29,8 @@ from .lexing import MAX_NESTING, TextSyntaxError, TokenStream, tokenize
 
 _PUNCTS = ("{", "}", "(", ")", ";", ",", ".", "=")
 
-_KEYWORDS = frozenset(
+# Reserved words of the target language: no generated name may be one.
+KEYWORDS = frozenset(
     {"package", "class", "interface", "enum", "extends", "implements", "return", "new", "this"}
 )
 
@@ -46,7 +47,7 @@ def check_unit(text: str) -> tuple[str, int, int] | None:
 
 def _unit(ts: TokenStream) -> None:
     ts.expect_keyword("package")
-    ts.expect_name("package name", _KEYWORDS)
+    ts.expect_name("package name", KEYWORDS)
     ts.expect_punct(";")
     if ts.accept_ident("class"):
         _classd(ts)
@@ -61,13 +62,13 @@ def _unit(ts: TokenStream) -> None:
 
 
 def _classd(ts: TokenStream) -> None:
-    ts.expect_name("class name", _KEYWORDS)
+    ts.expect_name("class name", KEYWORDS)
     if ts.accept_ident("extends"):
-        ts.expect_name("superclass name", _KEYWORDS)
+        ts.expect_name("superclass name", KEYWORDS)
     if ts.accept_ident("implements"):
-        ts.expect_name("interface name", _KEYWORDS)
+        ts.expect_name("interface name", KEYWORDS)
         while ts.accept_punct(","):
-            ts.expect_name("interface name", _KEYWORDS)
+            ts.expect_name("interface name", KEYWORDS)
     ts.expect_punct("{")
     while not ts.at_punct("}"):
         _member(ts)
@@ -75,7 +76,7 @@ def _classd(ts: TokenStream) -> None:
 
 
 def _member(ts: TokenStream) -> None:
-    ts.expect_name("member type or constructor name", _KEYWORDS)
+    ts.expect_name("member type or constructor name", KEYWORDS)
     if ts.at_punct("("):
         # constructor: IDENT "(" [params] ")" block
         ts.expect_punct("(")
@@ -83,7 +84,7 @@ def _member(ts: TokenStream) -> None:
         ts.expect_punct(")")
         _block(ts)
         return
-    ts.expect_name("member name", _KEYWORDS)
+    ts.expect_name("member name", KEYWORDS)
     if ts.accept_punct(";"):
         return  # field
     if not ts.at_punct("("):
@@ -97,11 +98,11 @@ def _member(ts: TokenStream) -> None:
 
 
 def _ifaced(ts: TokenStream) -> None:
-    ts.expect_name("interface name", _KEYWORDS)
+    ts.expect_name("interface name", KEYWORDS)
     ts.expect_punct("{")
     while not ts.at_punct("}"):
-        ts.expect_name("return type", _KEYWORDS)
-        ts.expect_name("operation name", _KEYWORDS)
+        ts.expect_name("return type", KEYWORDS)
+        ts.expect_name("operation name", KEYWORDS)
         ts.expect_punct("(")
         _params(ts)
         ts.expect_punct(")")
@@ -110,22 +111,22 @@ def _ifaced(ts: TokenStream) -> None:
 
 
 def _enumd(ts: TokenStream) -> None:
-    ts.expect_name("enum name", _KEYWORDS)
+    ts.expect_name("enum name", KEYWORDS)
     ts.expect_punct("{")
-    ts.expect_name("enum constant", _KEYWORDS)
+    ts.expect_name("enum constant", KEYWORDS)
     while ts.accept_punct(","):
-        ts.expect_name("enum constant", _KEYWORDS)
+        ts.expect_name("enum constant", KEYWORDS)
     ts.expect_punct("}")
 
 
 def _params(ts: TokenStream) -> None:
     if ts.at_punct(")"):
         return
-    ts.expect_name("parameter type", _KEYWORDS)
-    ts.expect_name("parameter name", _KEYWORDS)
+    ts.expect_name("parameter type", KEYWORDS)
+    ts.expect_name("parameter name", KEYWORDS)
     while ts.accept_punct(","):
-        ts.expect_name("parameter type", _KEYWORDS)
-        ts.expect_name("parameter name", _KEYWORDS)
+        ts.expect_name("parameter type", KEYWORDS)
+        ts.expect_name("parameter name", KEYWORDS)
 
 
 def _block(ts: TokenStream) -> None:
@@ -145,17 +146,17 @@ def _stmt(ts: TokenStream) -> None:
         _expr(ts)
         ts.expect_punct(";")
         return
-    ts.expect_name("statement", _KEYWORDS)
+    ts.expect_name("statement", KEYWORDS)
     nxt = ts.peek()
-    if nxt.kind == "ident" and nxt.value not in _KEYWORDS:
+    if nxt.kind == "ident" and nxt.value not in KEYWORDS:
         # local declaration: type IDENT "=" expr ";"
-        ts.expect_name("variable name", _KEYWORDS)
+        ts.expect_name("variable name", KEYWORDS)
         ts.expect_punct("=")
         _expr(ts)
         ts.expect_punct(";")
         return
     while ts.accept_punct("."):
-        ts.expect_name("member name", _KEYWORDS)
+        ts.expect_name("member name", KEYWORDS)
     if ts.accept_punct("="):
         _expr(ts)
         ts.expect_punct(";")
@@ -167,15 +168,15 @@ def _stmt(ts: TokenStream) -> None:
 
 def _expr(ts: TokenStream, depth: int = 0) -> None:
     if ts.accept_ident("new"):
-        ts.expect_name("class name", _KEYWORDS)
+        ts.expect_name("class name", KEYWORDS)
         ts.expect_punct("(")
         ts.expect_punct(")")
         return
     if ts.accept_ident("this"):
         return
-    ts.expect_name("expression", _KEYWORDS)
+    ts.expect_name("expression", KEYWORDS)
     while ts.accept_punct("."):
-        ts.expect_name("member name", _KEYWORDS)
+        ts.expect_name("member name", KEYWORDS)
     if ts.at_punct("("):
         _call_args(ts, depth + 1)
 

@@ -2,7 +2,8 @@
 
 Five components over the built-in feature model:
 
-  CoreFrontEnd   always on; contributes the core context conditions.
+  CoreFrontEnd   always on; contributes the core context conditions and
+                 rejects names that are keywords of the target language.
   FeatureGuard   always on; rejects input constructs whose feature is off.
   Types          realizes Types/Class/Enum/Interface/DefaultConstructor;
                  emits one artifact per type plus provider interfaces for
@@ -43,7 +44,10 @@ from .components import (
 from .featuremodel import FeatureModel, parse_feature_model
 from .formula import TRUE, Atom, Implies
 from .generation import ArtifactContainer, EngineError, Fact, GenContext
+from .ootl import KEYWORDS
 from .report import Violation
+
+CC_KEYWORD = "CC-06"
 
 FG_TAG = "FG-TAG"
 FG_ENUM = "FG-ENUM"
@@ -203,8 +207,40 @@ def _check_no_external_tags(diagram: ClassDiagram, symbols: object) -> list[Viol
     ]
 
 
+def _declared_names(diagram: ClassDiagram):
+    """(kind, name, line, column) of every name the generated code declares."""
+    yield "diagram", diagram.name, diagram.line, diagram.column
+    for decl in diagram.types:
+        if isinstance(decl, ClassDecl):
+            yield "class", decl.name, decl.line, decl.column
+            yield from (("attribute", a.name, a.line, a.column) for a in decl.attributes)
+        elif isinstance(decl, InterfaceDecl):
+            yield "interface", decl.name, decl.line, decl.column
+            yield from (("operation", o.name, o.line, o.column) for o in decl.operations)
+        else:
+            yield "enum", decl.name, decl.line, decl.column
+            positions = decl.constant_positions or [(decl.line, decl.column)] * len(decl.constants)
+            for name, (line, column) in zip(decl.constants, positions):
+                yield "enum constant", name, line, column
+
+
+def _check_no_keywords(diagram: ClassDiagram, symbols: object) -> list[Violation]:
+    return [
+        Violation(
+            CC_KEYWORD,
+            (name,),
+            f"{kind} {name!r} is a keyword of the target language at {line}:{column}",
+        )
+        for kind, name, line, column in _declared_names(diagram)
+        if name in KEYWORDS
+    ]
+
+
 def _restrict_core(ctx: GenContext, comp: GeneratorComponent) -> None:
-    for condition in core_conditions():
+    keywords = ContextCondition(
+        CC_KEYWORD, "no name is a target-language keyword", "CoreFrontEnd", _check_no_keywords
+    )
+    for condition in (*core_conditions(), keywords):
         ctx.add_condition(comp, condition)
 
 

@@ -107,7 +107,7 @@ def compose_reference(
     model = reference_feature_model()
     registry = build_registry(reference_components() + tuple(extra), model)
     components = resolve_components(Configuration(frozenset(selected)), registry)
-    return compose_all(components, model)
+    return compose_all(components)
 
 
 def derive_and_generate(selected, diagram: ClassDiagram, spec: VariantSpec):

@@ -274,7 +274,7 @@ def test_acceptance_7_composition_order_never_matters(announce, tmp_path):
         for seed in range(10):
             order = list(resolved)
             random.Random(seed).shuffle(order)
-            composed = compose_all(tuple(order), model)
+            composed = compose_all(tuple(order))
             schedules.append(composed.full_schedule)
             out_dir = tmp_path / f"order{seed}"
             report = generate(composed, diagram, make_spec(ALL_FEATURES, out_dir))
@@ -305,7 +305,7 @@ def test_acceptance_8_binding_modes(announce, tmp_path):
             doctored.append(comp)
         model = reference_feature_model()
         registry = build_registry(tuple(doctored), model)
-        composed = compose_all(resolve_components(Configuration(selected), registry), model)
+        composed = compose_all(resolve_components(Configuration(selected), registry))
         diagram = restrict_diagram(covering_diagram(), selected, "run_time")
         spec = make_spec(LATE_BOUND, tmp_path / "suppressed", mode="run_time")
         assert validate_composition(composed, spec).valid

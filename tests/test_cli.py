@@ -154,6 +154,32 @@ def test_derive_rejects_binding_for_absent_component(tmp_path):
     assert "addresses no participating component" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            "  option Types.default_constructor = yes;\n",
+            "variant 'demo': option 'default_constructor' is a flag, got 'yes'",
+        ),
+        (
+            "  option Types.default_constructor = false;\n",
+            "variant 'demo': option Types.default_constructor is forced to True "
+            "by feature 'DefaultConstructor' but bound to False",
+        ),
+        (
+            '  bind Factory.factory_method_prefix = "make";\n',
+            "variant 'demo': name pattern must contain '%s' exactly once, got 'make'",
+        ),
+    ],
+    ids=["wrong type", "forced conflict", "bad name pattern"],
+)
+def test_bad_binding_is_one_composition_error(tmp_path, extra, message):
+    vsp = write_variant(tmp_path, extra=extra)
+    for command in ("derive", "generate"):
+        assert run(command, "-s", str(vsp)) == (EXIT_COMPOSITION, "", message + "\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_derive_missing_spec_file(tmp_path):
     code, _, err = run("derive", "-s", str(tmp_path / "none.vsp"))
     assert code == EXIT_USAGE and "cannot read variant spec" in err
@@ -284,6 +310,28 @@ def test_generate_restrict_failure_is_config_exit(tmp_path):
     assert code == EXIT_CONFIG
     assert "generation failed in the restrict stage" in err
     assert "FG-ENUM" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cdl, message",
+    [
+        ("classdiagram package { class P { a: int; } }", "diagram 'package' ... at 1:14"),
+        ("classdiagram D { class extends { a: int; } }", "class 'extends' ... at 1:24"),
+        ("classdiagram D { interface new { f(): int; } }", "interface 'new' ... at 1:28"),
+        ("classdiagram D { enum class { A } }", "enum 'class' ... at 1:23"),
+        ("classdiagram D { class P { return: int; } }", "attribute 'return' ... at 1:28"),
+        ("classdiagram D { interface I { this(): int; } }", "operation 'this' ... at 1:32"),
+        ("classdiagram D { enum E { A,\n  new } }", "enum constant 'new' ... at 2:3"),
+    ],
+    ids=["diagram", "class", "interface", "enum", "attribute", "operation", "enum constant"],
+)
+def test_generate_rejects_a_keyword_as_a_name(tmp_path, cdl, message):
+    vsp = write_variant(tmp_path, features="CD2Java, Types, Class, Enum, Interface", cdl=cdl)
+    message = message.replace("...", "is a keyword of the target language")
+    code, out, err = run("generate", "-s", str(vsp))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"generation failed in the restrict stage\nCC-06: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

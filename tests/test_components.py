@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genline.components import (
+    BINDING_MODES,
     Behavior,
     ComponentInterface,
     ComponentRegistry,
@@ -16,9 +19,6 @@ from genline.components import (
     VariationPoint,
     build_registry,
     check_bindings,
-    effective_configuration,
-    effective_variation_points,
-    qualified_options,
     resolve_components,
 )
 from genline.featuremodel import parse_feature_model
@@ -230,58 +230,66 @@ OPTED = _component(
 )
 
 
+def _options(spec):
+    return check_bindings(spec, (OPTED,)).options["C"]
+
+
+def _vps(spec):
+    return check_bindings(spec, (OPTED,)).vps["C"]
+
+
 def test_effective_configuration_precedence():
     spec = make_spec({"R"}, "out")
-    assert effective_configuration(OPTED, spec) == {
+    assert _options(spec) == {
         "flag": False,
         "style": "plain",
         "note": "",
     }
     spec = make_spec({"R"}, "out", options={"C.style": "fancy"})
-    assert effective_configuration(OPTED, spec)["style"] == "fancy"
+    assert _options(spec)["style"] == "fancy"
     # Selecting A forces flag=True even without a binding.
     spec = make_spec({"R", "A"}, "out")
-    assert effective_configuration(OPTED, spec)["flag"] is True
+    assert _options(spec)["flag"] is True
     # An agreeing binding is fine; a contradicting one is an error.
     spec = make_spec({"R", "A"}, "out", options={"C.flag": True})
-    assert effective_configuration(OPTED, spec)["flag"] is True
+    assert _options(spec)["flag"] is True
     spec = make_spec({"R", "A"}, "out", options={"C.flag": False})
     with pytest.raises(OptionBindingError, match="forced to True"):
-        effective_configuration(OPTED, spec)
+        _options(spec)
     # When A is not selected the binding stands.
     spec = make_spec({"R"}, "out", options={"C.flag": False})
-    assert effective_configuration(OPTED, spec)["flag"] is False
+    assert _options(spec)["flag"] is False
 
 
 def test_effective_configuration_rejects_bad_bindings():
     spec = make_spec({"R"}, "out", options={"C.ghost": True})
     with pytest.raises(OptionBindingError, match="no option 'ghost'"):
-        effective_configuration(OPTED, spec)
+        _options(spec)
     spec = make_spec({"R"}, "out", options={"C.style": "bold"})
     with pytest.raises(OptionBindingError, match="must be one of"):
-        effective_configuration(OPTED, spec)
+        _options(spec)
     spec = make_spec({"R"}, "out", options={"C.flag": "yes"})
     with pytest.raises(OptionBindingError, match="is a flag"):
-        effective_configuration(OPTED, spec)
-    # Bindings for other components are ignored here.
+        _options(spec)
     spec = make_spec({"R"}, "out", options={"Other.flag": True})
-    assert effective_configuration(OPTED, spec)["flag"] is False
+    with pytest.raises(OptionBindingError, match="addresses no participating component"):
+        _options(spec)
 
 
 def test_effective_variation_points():
     spec = make_spec({"R"}, "out")
-    assert effective_variation_points(OPTED, spec) == {"body": "", "pattern": "get%s"}
+    assert _vps(spec) == {"body": "", "pattern": "get%s"}
     spec = make_spec({"R"}, "out", binds={"C.body": "x = 1;", "C.pattern": "fetch%s"})
-    assert effective_variation_points(OPTED, spec) == {
+    assert _vps(spec) == {
         "body": "x = 1;",
         "pattern": "fetch%s",
     }
     spec = make_spec({"R"}, "out", binds={"C.pattern": "fetch"})
     with pytest.raises(OptionBindingError, match="'%s' exactly once"):
-        effective_variation_points(OPTED, spec)
+        _vps(spec)
     spec = make_spec({"R"}, "out", binds={"C.ghost": "x"})
     with pytest.raises(OptionBindingError, match="no variation point 'ghost'"):
-        effective_variation_points(OPTED, spec)
+        _vps(spec)
 
 
 def test_check_bindings():
@@ -301,12 +309,89 @@ def test_check_bindings():
 
 def test_qualified_options():
     spec = make_spec({"R", "A"}, "out", options={"C.note": "hi"})
-    values = qualified_options((OPTED,), spec)
+    values = check_bindings(spec, (OPTED,)).qualified()
     assert values == {
         "C.flag": True,
         "C.style": "plain",
         "C.note": "hi",
     }
+
+
+POOL = reference_components() + (OPTED,)
+OPTION_VALUES = (True, False, "fancy", "yes")
+VP_TEXTS = ("make%s", "x = 1;", "", "make", "%s%s", 3)
+TYPES = {"flag": bool, "text": str, "choice": object}
+
+
+def _keys(components, kind):
+    """Binding keys over ``components``' declarations of ``kind``, good and bad."""
+    declared = [f"{c.id}.{d.name}" for c in components for d in getattr(c.interface, kind)]
+    return sorted(declared) + ["Types.ghost", "Ghost.x", "nodot"]
+
+
+def _oracle(spec, components):
+    """What check_bindings should resolve, or None when it must reject the spec."""
+    by_id = {c.id: c for c in components}
+
+    def declared(key, lookup):
+        comp_id, _, name = key.partition(".")
+        return getattr(by_id[comp_id].interface, lookup)(name) if comp_id in by_id else None
+
+    for key, value in spec.option_bindings.items():
+        opt = declared(key, "option")
+        if opt is None or not isinstance(value, TYPES[opt.type]):
+            return None
+        if opt.type == "choice" and value not in opt.choices:
+            return None
+    for key, value in spec.vp_bindings.items():
+        vp = declared(key, "variation_point")
+        if vp is None or not isinstance(value, str):
+            return None
+        if vp.kind == "name_pattern" and value.count("%s") != 1:
+            return None
+    if spec.mode not in BINDING_MODES:
+        return None
+    options, vps = {}, {}
+    for comp in components:
+        forced = {f.option: f.value for f in comp.forced if f.feature in spec.configuration.selected}
+        bound = {o.name: spec.option_bindings.get(f"{comp.id}.{o.name}") for o in comp.interface.options}
+        if any(bound[name] not in (None, value) for name, value in forced.items()):
+            return None
+        options[comp.id] = {
+            o.name: forced.get(o.name, o.default if bound[o.name] is None else bound[o.name])
+            for o in comp.interface.options
+        }
+        vps[comp.id] = {
+            vp.name: spec.vp_bindings.get(f"{comp.id}.{vp.name}", vp.default)
+            for vp in comp.interface.variation_points
+        }
+    return options, vps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_bindings_resolves_forced_then_bound_then_default(data):
+    order = data.draw(st.permutations(POOL))
+    components = order[data.draw(st.integers(0, len(order))):]
+    features = sorted(reference_feature_model().features) + ["A"]  # A forces C.flag
+    selected = data.draw(st.sets(st.sampled_from(features)))
+
+    def keys(kind):
+        # Keys of participating components, or of any component in the pool.
+        return st.sampled_from(_keys(components, kind)) | st.sampled_from(_keys(POOL, kind))
+
+    options = data.draw(st.dictionaries(keys("options"), st.sampled_from(OPTION_VALUES), max_size=3))
+    binds = data.draw(st.dictionaries(keys("variation_points"), st.sampled_from(VP_TEXTS), max_size=2))
+    mode = data.draw(st.sampled_from(BINDING_MODES + ("lazy",)))
+    spec = make_spec(selected, "out", options=options, binds=binds, mode=mode)
+    expected = _oracle(spec, components)
+    if expected is None:
+        with pytest.raises(OptionBindingError):
+            check_bindings(spec, components)
+        return
+    bindings = check_bindings(spec, components)
+    assert (bindings.options, bindings.vps) == expected
+    assert check_bindings(spec, components[::-1]) == bindings
 
 
 def test_registry_type_is_frozen():

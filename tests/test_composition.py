@@ -23,7 +23,7 @@ from genline.composition import (
     validate_composition,
 )
 from genline.formula import TRUE, Atom
-from genline.reference import reference_components, reference_feature_model
+from genline.reference import reference_components
 
 from helpers import ALL_FEATURES, compose_reference, make_spec
 
@@ -81,28 +81,9 @@ def test_compose_reference_full_schedule():
     assert declare_ids.index("Types") < declare_ids.index("Builder") < declare_ids.index("Factory")
 
 
-def test_merged_interface_contents():
-    composed = compose_reference(ALL_FEATURES)
-    iface = composed.interface
-    assert iface.produces == frozenset(
-        {"type.generated", "constructor.generated", "method.generated", "hook.provided", "hook.required"}
-    )
-    assert iface.consumes == frozenset({"type.generated", "constructor.generated"})
-    option_names = [name for name, _ in iface.options]
-    assert option_names == sorted(option_names)
-    assert "Types.default_constructor" in option_names
-    vp_names = [name for name, _ in iface.variation_points]
-    assert "Factory.factory_method_prefix" in vp_names
-    assert "Types.constructor_body" in vp_names
-    owners = {owner for owner, _ in iface.constraints}
-    assert owners == {"Builder", "Factory"}
-    assert ("Types", "%sProvider") in iface.hooks_provided
-    assert ("Factory", "%sProvider") in iface.hooks_required
-
-
 def test_compose_is_canonical_in_member_set():
     components = list(reference_components())
-    reference = compose_all(components, reference_feature_model())
+    reference = compose_all(components)
     rng = random.Random(7)
     for _ in range(10):
         shuffled = components[:]
@@ -110,18 +91,9 @@ def test_compose_is_canonical_in_member_set():
         # Fold pairwise in shuffled order; grouping varies with the shuffle.
         acc = shuffled[0]
         for nxt in shuffled[1:]:
-            acc = compose(acc, nxt, reference_feature_model())
+            acc = compose(acc, nxt)
         assert acc.components == reference.components
-        assert acc.interface == reference.interface
         assert acc.full_schedule == reference.full_schedule
-
-
-def test_compose_propagates_model():
-    a, b = _component("A"), _component("B")
-    model = reference_feature_model()
-    left = compose_all([a], model)
-    merged = compose(left, b)
-    assert merged.model == model
 
 
 def test_compose_duplicate_id_fault():
@@ -146,7 +118,7 @@ def test_compose_merges_identical_duplicate_concerns():
     a = _component("A", concerns=(("naming", "camel case"),))
     b = _component("B", concerns=(("naming", "camel case"),))
     composed = compose(a, b)
-    assert composed.interface.concerns == frozenset({("naming", "camel case")})
+    assert tuple(c.id for c in composed.components) == ("A", "B")
 
 
 def test_validate_reports_constraint_with_owner():
@@ -218,7 +190,7 @@ def test_schedule_is_deterministic_across_orders():
     for _ in range(5):
         shuffled = components[:]
         rng.shuffle(shuffled)
-        again = schedule(compose_all(shuffled, reference_feature_model()), spec)
+        again = schedule(compose_all(shuffled), spec)
         assert again == baseline
 
 
