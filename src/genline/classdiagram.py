@@ -15,7 +15,10 @@ CDL text format:
 
 Context conditions are well-formedness predicates over a parsed diagram. The
 core set (CC-01 .. CC-05) is always active; front-end components may contribute
-further conditions per variant.
+further conditions per variant. A condition is a code and a check. Most are
+built by ``positioned(code, offenses)``: ``offenses`` yields the subjects, the
+message and the source line and column of each place the condition fails, and
+the helper reports each one as a violation ``<message> at <line>:<column>``.
 """
 
 from __future__ import annotations
@@ -285,70 +288,45 @@ class SymbolTable:
 # Context conditions
 
 CheckFn = Callable[[ClassDiagram, SymbolTable], list[Violation]]
+# (subjects, message, line, column) of one place where a condition fails.
+Offense = tuple[tuple[str, ...], str, int, int]
+OffenseFn = Callable[[ClassDiagram, SymbolTable], Iterable[Offense]]
 
 
 @dataclass(frozen=True)
 class ContextCondition:
     code: str
-    description: str
-    origin: str  # contributing component id, or "core"
     check: CheckFn
 
 
-def _pos(line: int, column: int) -> str:
-    return f"at {line}:{column}"
+def positioned(code: str, offenses: OffenseFn) -> ContextCondition:
+    """The condition reporting each of ``offenses`` as a violation at its position."""
+
+    def check(diagram: ClassDiagram, symbols: SymbolTable) -> list[Violation]:
+        return [
+            Violation(code, subjects, f"{message} at {line}:{column}")
+            for subjects, message, line, column in offenses(diagram, symbols)
+        ]
+
+    return ContextCondition(code, check)
 
 
-def _check_unique_names(diagram: ClassDiagram, symbols: SymbolTable) -> list[Violation]:
-    violations: list[Violation] = []
-    seen: dict[str, TypeDecl] = {}
+def _name_clashes(diagram: ClassDiagram, symbols: SymbolTable) -> Iterable[Offense]:
+    seen: set[str] = set()
     for decl in diagram.types:
-        if decl.name in BUILTIN_TYPES:
-            violations.append(
-                Violation(
-                    CC_UNIQUE_NAMES,
-                    (decl.name,),
-                    f"type name {decl.name!r} shadows a builtin {_pos(decl.line, decl.column)}",
-                )
-            )
-        elif decl.name in seen:
-            violations.append(
-                Violation(
-                    CC_UNIQUE_NAMES,
-                    (decl.name,),
-                    f"type name {decl.name!r} declared more than once {_pos(decl.line, decl.column)}",
-                )
-            )
-        else:
-            seen[decl.name] = decl
-    return violations
+        if decl.name in BUILTIN_TYPES or decl.name in seen:
+            what = "shadows a builtin" if decl.name in BUILTIN_TYPES else "declared more than once"
+            yield (decl.name,), f"type name {decl.name!r} {what}", decl.line, decl.column
+        seen.add(decl.name)
 
 
-def _check_superclasses(diagram: ClassDiagram, symbols: SymbolTable) -> list[Violation]:
-    violations: list[Violation] = []
+def _bad_superclasses(diagram: ClassDiagram, symbols: SymbolTable) -> Iterable[Offense]:
     for cls in diagram.classes():
-        if cls.superclass is None:
-            continue
-        kind = symbols.kind_of(cls.superclass)
-        if kind is None:
-            violations.append(
-                Violation(
-                    CC_SUPERCLASS,
-                    (cls.name, cls.superclass),
-                    f"superclass {cls.superclass!r} of {cls.name!r} is not declared "
-                    f"{_pos(cls.line, cls.column)}",
-                )
-            )
-        elif kind != "class":
-            violations.append(
-                Violation(
-                    CC_SUPERCLASS,
-                    (cls.name, cls.superclass),
-                    f"superclass {cls.superclass!r} of {cls.name!r} is a {kind}, not a class "
-                    f"{_pos(cls.line, cls.column)}",
-                )
-            )
-    return violations
+        kind = "class" if cls.superclass is None else symbols.kind_of(cls.superclass)
+        if kind != "class":
+            what = "not declared" if kind is None else f"a {kind}, not a class"
+            message = f"superclass {cls.superclass!r} of {cls.name!r} is {what}"
+            yield (cls.name, cls.superclass), message, cls.line, cls.column
 
 
 def _check_inheritance_cycles(diagram: ClassDiagram, symbols: SymbolTable) -> list[Violation]:
@@ -382,60 +360,44 @@ def _check_inheritance_cycles(diagram: ClassDiagram, symbols: SymbolTable) -> li
     return violations
 
 
-def _check_types_resolve(diagram: ClassDiagram, symbols: SymbolTable) -> list[Violation]:
-    violations: list[Violation] = []
+def _unresolved_types(diagram: ClassDiagram, symbols: SymbolTable) -> Iterable[Offense]:
     for decl in diagram.types:
         if isinstance(decl, ClassDecl):
             for attr in decl.attributes:
                 if attr.type_name not in symbols:
-                    violations.append(
-                        Violation(
-                            CC_TYPES_RESOLVE,
-                            (decl.name, attr.type_name),
-                            f"unknown type {attr.type_name!r} for attribute {attr.name!r} "
-                            f"of {decl.name!r} {_pos(attr.line, attr.column)}",
-                        )
+                    message = (
+                        f"unknown type {attr.type_name!r} for attribute {attr.name!r} "
+                        f"of {decl.name!r}"
                     )
+                    yield (decl.name, attr.type_name), message, attr.line, attr.column
         elif isinstance(decl, InterfaceDecl):
             for op in decl.operations:
                 if op.return_type not in symbols:
-                    violations.append(
-                        Violation(
-                            CC_TYPES_RESOLVE,
-                            (decl.name, op.return_type),
-                            f"unknown return type {op.return_type!r} for operation {op.name!r} "
-                            f"of {decl.name!r} {_pos(op.line, op.column)}",
-                        )
+                    message = (
+                        f"unknown return type {op.return_type!r} for operation {op.name!r} "
+                        f"of {decl.name!r}"
                     )
-    return violations
+                    yield (decl.name, op.return_type), message, op.line, op.column
 
 
-def _check_implements_interfaces(diagram: ClassDiagram, symbols: SymbolTable) -> list[Violation]:
-    violations: list[Violation] = []
+def _bad_interfaces(diagram: ClassDiagram, symbols: SymbolTable) -> Iterable[Offense]:
     for cls in diagram.classes():
         for iface in cls.interfaces:
             kind = symbols.kind_of(iface)
             if kind != "interface":
                 what = "not declared" if kind is None else f"a {kind}, not an interface"
-                violations.append(
-                    Violation(
-                        CC_IMPLEMENTS_IFACE,
-                        (cls.name, iface),
-                        f"{cls.name!r} implements {iface!r}, which is {what} "
-                        f"{_pos(cls.line, cls.column)}",
-                    )
-                )
-    return violations
+                message = f"{cls.name!r} implements {iface!r}, which is {what}"
+                yield (cls.name, iface), message, cls.line, cls.column
 
 
 def core_conditions() -> tuple[ContextCondition, ...]:
     """The always-active well-formedness conditions of the input language."""
     return (
-        ContextCondition(CC_UNIQUE_NAMES, "type names are unique", "core", _check_unique_names),
-        ContextCondition(CC_SUPERCLASS, "superclasses exist and are classes", "core", _check_superclasses),
-        ContextCondition(CC_NO_CYCLES, "inheritance is acyclic", "core", _check_inheritance_cycles),
-        ContextCondition(CC_TYPES_RESOLVE, "attribute and return types resolve", "core", _check_types_resolve),
-        ContextCondition(CC_IMPLEMENTS_IFACE, "implemented names are interfaces", "core", _check_implements_interfaces),
+        positioned(CC_UNIQUE_NAMES, _name_clashes),
+        positioned(CC_SUPERCLASS, _bad_superclasses),
+        ContextCondition(CC_NO_CYCLES, _check_inheritance_cycles),
+        positioned(CC_TYPES_RESOLVE, _unresolved_types),
+        positioned(CC_IMPLEMENTS_IFACE, _bad_interfaces),
     )
 
 

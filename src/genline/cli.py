@@ -211,7 +211,7 @@ def _cmd_derive(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         for key, text in sorted(vps.items()):
             print(f"  {key} = {text!r}", file=out)
     print(f"mode: {spec.mode}", file=out)
-    steps = schedule(composed, spec)
+    steps = schedule(composed, spec, bindings)
     print("schedule:", file=out)
     for step in steps:
         print(f"  {step.phase} {step.component_id}.{step.behavior}", file=out)
@@ -236,8 +236,10 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print(f"input model {spec.model_path!r}: {exc}", file=err)
         return EXIT_CONFIG
     if args.incremental:
-        cache_dir = args.cache or spec.output_path
-        cache_path = Path(cache_dir) / CACHE_FILE
+        cache_dir = Path(args.cache or spec.output_path)
+        if args.cache and cache_dir.exists() and not cache_dir.is_dir():
+            raise UsageError(f"--cache {args.cache!r} is not a directory")
+        cache_path = cache_dir / CACHE_FILE
         cache = (
             GenCache.from_text(cache_path.read_text(encoding="utf-8", errors="replace"))
             if cache_path.is_file()
@@ -245,8 +247,11 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         )
         report, new_cache = incremental_generate(composed, diagram, spec, cache)
         if report.ok:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(new_cache.to_text(), encoding="utf-8")
+            try:
+                cache_path.parent.mkdir(parents=True, exist_ok=True)
+                cache_path.write_text(new_cache.to_text(), encoding="utf-8")
+            except OSError as exc:
+                raise GenerationIOError(f"cannot write {str(cache_path)!r}: {exc}") from exc
     else:
         report = generate(composed, diagram, spec)
     if not report.ok:

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence, Union
 from . import formula as fm
 from .components import (
     Behavior,
+    Bindings,
     GeneratorComponent,
     OptionBindingError,
     PHASES,
@@ -245,7 +246,9 @@ def validate_composition(composed: ComposedGenerator, spec: VariantSpec) -> Vali
     return ValidationReport(tuple(violations))
 
 
-def schedule(composed: ComposedGenerator, spec: VariantSpec) -> tuple[ScheduledStep, ...]:
+def schedule(
+    composed: ComposedGenerator, spec: VariantSpec, bindings: Bindings
+) -> tuple[ScheduledStep, ...]:
     """The variant's behavior order: the full schedule filtered by applicability."""
     if composed.fact_cycle:
         raise CompositionFault(
@@ -255,7 +258,7 @@ def schedule(composed: ComposedGenerator, spec: VariantSpec) -> tuple[ScheduledS
             composed.fact_cycle,
         )
     selected = spec.configuration.selected
-    opts = check_bindings(spec, composed.components).qualified()
+    opts = bindings.qualified()
     steps = []
     for step in composed.full_schedule:
         _, beh = composed.behavior(step)

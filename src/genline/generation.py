@@ -199,24 +199,6 @@ class ArtifactContainer:
         return self.regions[-1].end if self.regions else 0
 
 
-@dataclass(frozen=True)
-class SyntaxStatus:
-    state: str  # "valid" | "invalid"
-    message: str = ""
-    line: int = 0
-    column: int = 0
-
-    @property
-    def is_valid(self) -> bool:
-        return self.state == "valid"
-
-
-def validate_syntax(container: ArtifactContainer) -> SyntaxStatus:
-    """Check the container content against the target-language grammar."""
-    error = ootl.check_unit(container.content())
-    return SyntaxStatus("valid") if error is None else SyntaxStatus("invalid", *error)
-
-
 # ---------------------------------------------------------------------------
 # Traceability
 
@@ -563,14 +545,15 @@ def _gate(stage: str, ctx: GenContext) -> tuple[Violation, ...]:
     if stage == "syntax":
         violations = []
         for path, container in sorted(ctx.containers.items()):
-            status = validate_syntax(container)
-            if not status.is_valid:
+            error = ootl.check_unit(container.content())
+            if error is not None:
+                message, line, column = error
                 violations.append(
                     Violation(
                         GEN_SYNTAX,
                         (path,),
-                        f"artifact {path!r} is not syntactically valid: {status.message} "
-                        f"(line {status.line}, column {status.column})",
+                        f"artifact {path!r} is not syntactically valid: {message} "
+                        f"(line {line}, column {column})",
                     )
                 )
         return tuple(violations)
@@ -586,7 +569,7 @@ def _run_engine(
     cache: GenCache | None,
 ) -> tuple[GenerationReport, GenCache]:
     bindings = check_bindings(spec, composed.components)
-    steps = schedule(composed, spec)
+    steps = schedule(composed, spec, bindings)
     board = Blackboard()
     ctx = GenContext(diagram, spec, bindings, board)
     out_dir = Path(spec.output_path)

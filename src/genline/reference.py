@@ -20,7 +20,7 @@ their generated code calls the no-argument constructor.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .classdiagram import (
     ClassDecl,
@@ -28,8 +28,11 @@ from .classdiagram import (
     ContextCondition,
     EnumDecl,
     InterfaceDecl,
+    Offense,
+    OffenseFn,
     canonical_type_text,
     core_conditions,
+    positioned,
 )
 from .components import (
     Behavior,
@@ -45,7 +48,6 @@ from .featuremodel import FeatureModel, parse_feature_model
 from .formula import TRUE, Atom, Implies
 from .generation import ArtifactContainer, EngineError, Fact, GenContext
 from .ootl import KEYWORDS
-from .report import Violation
 
 CC_KEYWORD = "CC-06"
 
@@ -93,154 +95,86 @@ def _upper_first(name: str) -> str:
 # ---------------------------------------------------------------------------
 # Guard conditions (front end)
 
-def guard_conditions(selected: frozenset[str], mode: str) -> tuple[ContextCondition, ...]:
-    """Conditions rejecting constructs whose feature (or mode) is off."""
-    conditions = [
-        ContextCondition(FG_TAG, "tags are known", "FeatureGuard", _check_known_tags)
-    ]
-    if "Enum" not in selected:
-        conditions.append(
-            ContextCondition(FG_ENUM, "no enums without the Enum feature", "FeatureGuard", _check_no_enums)
-        )
-    if "Interface" not in selected:
-        conditions.append(
-            ContextCondition(
-                FG_IFACE,
-                "no interfaces or implements clauses without the Interface feature",
-                "FeatureGuard",
-                _check_no_interfaces,
-            )
-        )
-    if "Builder" not in selected:
-        conditions.append(
-            ContextCondition(
-                FG_NOBUILDER,
-                "the nobuilder tag needs the Builder feature",
-                "FeatureGuard",
-                _check_no_nobuilder_tags,
-            )
-        )
-    if mode != "hybrid":
-        conditions.append(
-            ContextCondition(
-                FG_EXTERNAL,
-                "the external tag needs hybrid binding",
-                "FeatureGuard",
-                _check_no_external_tags,
-            )
-        )
-    return tuple(conditions)
-
-
-def _check_known_tags(diagram: ClassDiagram, symbols: object) -> list[Violation]:
-    violations = []
+def _unknown_tags(diagram: ClassDiagram, symbols: object) -> Iterable[Offense]:
     for cls in diagram.classes():
         for tag in cls.tags:
             if tag not in KNOWN_TAGS:
-                violations.append(
-                    Violation(
-                        FG_TAG,
-                        (cls.name, tag),
-                        f"class {cls.name!r} carries unknown tag <<{tag}>> "
-                        f"at {cls.line}:{cls.column}",
-                    )
-                )
-    return violations
+                message = f"class {cls.name!r} carries unknown tag <<{tag}>>"
+                yield (cls.name, tag), message, cls.line, cls.column
 
 
-def _check_no_enums(diagram: ClassDiagram, symbols: object) -> list[Violation]:
-    return [
-        Violation(
-            FG_ENUM,
-            (en.name,),
-            f"enum {en.name!r} needs the Enum feature at {en.line}:{en.column}",
-        )
-        for en in diagram.enums()
-    ]
+def _enums(diagram: ClassDiagram, symbols: object) -> Iterable[Offense]:
+    for en in diagram.enums():
+        yield (en.name,), f"enum {en.name!r} needs the Enum feature", en.line, en.column
 
 
-def _check_no_interfaces(diagram: ClassDiagram, symbols: object) -> list[Violation]:
-    violations = [
-        Violation(
-            FG_IFACE,
-            (iface.name,),
-            f"interface {iface.name!r} needs the Interface feature at {iface.line}:{iface.column}",
-        )
-        for iface in diagram.interfaces()
-    ]
+def _interfaces(diagram: ClassDiagram, symbols: object) -> Iterable[Offense]:
+    for iface in diagram.interfaces():
+        message = f"interface {iface.name!r} needs the Interface feature"
+        yield (iface.name,), message, iface.line, iface.column
     for cls in diagram.classes():
         for iface in cls.interfaces:
-            violations.append(
-                Violation(
-                    FG_IFACE,
-                    (cls.name, iface),
-                    f"class {cls.name!r} implements {iface!r}, which needs the Interface "
-                    f"feature at {cls.line}:{cls.column}",
-                )
-            )
-    return violations
+            message = f"class {cls.name!r} implements {iface!r}, which needs the Interface feature"
+            yield (cls.name, iface), message, cls.line, cls.column
 
 
-def _check_no_nobuilder_tags(diagram: ClassDiagram, symbols: object) -> list[Violation]:
-    return [
-        Violation(
-            FG_NOBUILDER,
-            (cls.name,),
-            f"class {cls.name!r} is tagged <<nobuilder>>, which needs the Builder feature "
-            f"at {cls.line}:{cls.column}",
-        )
-        for cls in diagram.classes()
-        if "nobuilder" in cls.tags
-    ]
+def _tagged(tag: str, needs: str) -> OffenseFn:
+    """Offenses of every class carrying ``tag``, which needs ``needs``."""
+
+    def offenses(diagram: ClassDiagram, symbols: object) -> Iterable[Offense]:
+        for cls in diagram.classes():
+            if tag in cls.tags:
+                message = f"class {cls.name!r} is tagged <<{tag}>>, which needs {needs}"
+                yield (cls.name,), message, cls.line, cls.column
+
+    return offenses
 
 
-def _check_no_external_tags(diagram: ClassDiagram, symbols: object) -> list[Violation]:
-    return [
-        Violation(
-            FG_EXTERNAL,
-            (cls.name,),
-            f"class {cls.name!r} is tagged <<external>>, which needs hybrid binding "
-            f"at {cls.line}:{cls.column}",
-        )
-        for cls in diagram.classes()
-        if "external" in cls.tags
-    ]
+# (code, active for (selected features, binding mode), offenses)
+_GUARDS = (
+    (FG_TAG, lambda selected, mode: True, _unknown_tags),
+    (FG_ENUM, lambda selected, mode: "Enum" not in selected, _enums),
+    (FG_IFACE, lambda selected, mode: "Interface" not in selected, _interfaces),
+    (
+        FG_NOBUILDER,
+        lambda selected, mode: "Builder" not in selected,
+        _tagged("nobuilder", "the Builder feature"),
+    ),
+    (FG_EXTERNAL, lambda selected, mode: mode != "hybrid", _tagged("external", "hybrid binding")),
+)
 
 
-def _declared_names(diagram: ClassDiagram):
-    """(kind, name, line, column) of every name the generated code declares."""
-    yield "diagram", diagram.name, diagram.line, diagram.column
+def guard_conditions(selected: frozenset[str], mode: str) -> tuple[ContextCondition, ...]:
+    """Conditions rejecting constructs whose feature (or mode) is off."""
+    return tuple(
+        positioned(code, offenses) for code, active, offenses in _GUARDS if active(selected, mode)
+    )
+
+
+def _keywords(diagram: ClassDiagram, symbols: object) -> Iterable[Offense]:
+    """Every name the generated code declares that is a target-language keyword."""
+    named = [("diagram", diagram.name, diagram.line, diagram.column)]
     for decl in diagram.types:
         if isinstance(decl, ClassDecl):
-            yield "class", decl.name, decl.line, decl.column
-            yield from (("attribute", a.name, a.line, a.column) for a in decl.attributes)
+            named.append(("class", decl.name, decl.line, decl.column))
+            named += [("attribute", a.name, a.line, a.column) for a in decl.attributes]
         elif isinstance(decl, InterfaceDecl):
-            yield "interface", decl.name, decl.line, decl.column
-            yield from (("operation", o.name, o.line, o.column) for o in decl.operations)
+            named.append(("interface", decl.name, decl.line, decl.column))
+            named += [("operation", o.name, o.line, o.column) for o in decl.operations]
         else:
-            yield "enum", decl.name, decl.line, decl.column
+            named.append(("enum", decl.name, decl.line, decl.column))
             positions = decl.constant_positions or [(decl.line, decl.column)] * len(decl.constants)
-            for name, (line, column) in zip(decl.constants, positions):
-                yield "enum constant", name, line, column
-
-
-def _check_no_keywords(diagram: ClassDiagram, symbols: object) -> list[Violation]:
-    return [
-        Violation(
-            CC_KEYWORD,
-            (name,),
-            f"{kind} {name!r} is a keyword of the target language at {line}:{column}",
-        )
-        for kind, name, line, column in _declared_names(diagram)
-        if name in KEYWORDS
-    ]
+            named += [
+                ("enum constant", name, line, column)
+                for name, (line, column) in zip(decl.constants, positions)
+            ]
+    for kind, name, line, column in named:
+        if name in KEYWORDS:
+            yield (name,), f"{kind} {name!r} is a keyword of the target language", line, column
 
 
 def _restrict_core(ctx: GenContext, comp: GeneratorComponent) -> None:
-    keywords = ContextCondition(
-        CC_KEYWORD, "no name is a target-language keyword", "CoreFrontEnd", _check_no_keywords
-    )
-    for condition in (*core_conditions(), keywords):
+    for condition in (*core_conditions(), positioned(CC_KEYWORD, _keywords)):
         ctx.add_condition(comp, condition)
 
 

@@ -183,7 +183,7 @@ def test_violations_ordered_by_condition_code():
 
 
 def test_duplicate_condition_codes_rejected():
-    extra = ContextCondition(CC_UNIQUE_NAMES, "dup", "other", lambda d, s: [])
+    extra = ContextCondition(CC_UNIQUE_NAMES, lambda d, s: [])
     with pytest.raises(ValueError, match="duplicate context condition code"):
         check_context_conditions(covering_diagram(), core_conditions() + (extra,))
 

@@ -16,7 +16,7 @@ from genline.cli import (
     run_cli,
 )
 
-from helpers import read_tree
+from helpers import ALL_FEATURES, COVERING_CDL, read_tree
 
 SHOP_CDL = (
     "classdiagram Shop {\n"
@@ -240,6 +240,27 @@ def test_generate_incremental_custom_cache_dir(tmp_path):
     assert code == EXIT_OK and "written: none" in out
 
 
+def test_generate_incremental_cache_that_is_not_a_directory(tmp_path):
+    vsp = write_variant(tmp_path)
+    assert run("generate", "-s", str(vsp))[0] == EXIT_OK
+    before = read_tree(tmp_path / "out")
+    afile = tmp_path / "afile"
+    afile.write_text("not a cache\n")
+    write_variant(tmp_path, cdl=SHOP_CDL.replace("total: int;", "total: int; paid: boolean;"))
+
+    # An explicit --cache that is a file is refused before anything is written.
+    code, out, err = run("generate", "--incremental", "--cache", str(afile), "-s", str(vsp))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"usage error: --cache {str(afile)!r} is not a directory\n"
+    assert read_tree(tmp_path / "out") == before
+    assert afile.read_text() == "not a cache\n"
+
+    # A cache map that cannot be written is a generation error naming the file.
+    code, _, err = run("generate", "--incremental", "--cache", str(afile / "sub"), "-s", str(vsp))
+    assert code == EXIT_GENERATION
+    assert err.startswith(f"cannot write {str(afile / 'sub' / 'gencache.map')!r}: ")
+
+
 @pytest.mark.parametrize(
     "damaged, command, expected",
     [
@@ -429,7 +450,7 @@ def test_benchmark_hook_points_see_a_generate(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "genbench"))
     import tracing
 
-    vsp = write_variant(tmp_path)
+    vsp = write_variant(tmp_path, features=", ".join(ALL_FEATURES), mode="hybrid", cdl=COVERING_CDL)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -438,5 +459,12 @@ def test_benchmark_hook_points_see_a_generate(tmp_path, monkeypatch):
         tracer.uninstall()
     assert code == EXIT_OK, err
     spans = {name for name, *_ in tracer.spans}
-    assert {"vsp.parse_variant_spec", "ootl.check_unit", "lexing.tokenize"} <= spans
+    # A plain generate runs every wrapped function but these three.
+    not_in_generate = {
+        "featuremodel.enumerate_configurations",
+        "generation.incremental_generate",
+        "generation.TraceIndex.from_text",
+    }
+    assert spans == {name for *_, name in tracing.SPAN_POINTS} - not_in_generate
+    assert len(spans) == 21
     assert tracer.counts["lexing.tokens"] > 0

@@ -9,6 +9,7 @@ from genline.components import (
     ComponentInterface,
     GeneratorComponent,
     OptionDecl,
+    check_bindings,
 )
 from genline.composition import (
     CMP_CONCERN_CLASH,
@@ -26,6 +27,10 @@ from genline.formula import TRUE, Atom
 from genline.reference import reference_components
 
 from helpers import ALL_FEATURES, compose_reference, make_spec
+
+
+def _schedule(composed, spec):
+    return schedule(composed, spec, check_bindings(spec, composed.components))
 
 
 def _noop(ctx, comp):
@@ -164,19 +169,19 @@ def test_validate_reports_fact_cycle_and_schedule_refuses_it():
     report = validate_composition(composed, make_spec(("CD2Java",), "out"))
     assert CMP_FACT_CYCLE in report.codes()
     with pytest.raises(CompositionFault) as err:
-        schedule(composed, make_spec(("CD2Java",), "out"))
+        _schedule(composed, make_spec(("CD2Java",), "out"))
     assert err.value.code == CMP_FACT_CYCLE
 
 
 def test_schedule_filters_by_applicability():
     base = ("CD2Java", "Types", "Class")
     composed = compose_reference(base + ("Enum",))
-    with_enum = schedule(composed, make_spec(base + ("Enum",), "out"))
+    with_enum = _schedule(composed, make_spec(base + ("Enum",), "out"))
     names = [s.behavior for s in with_enum]
     assert "declare_enums" in names and "emit_enums" in names
 
     composed = compose_reference(base)
-    without = schedule(composed, make_spec(base, "out"))
+    without = _schedule(composed, make_spec(base, "out"))
     names = [s.behavior for s in without]
     assert "declare_enums" not in names and "emit_enums" not in names
     assert "declare_classes" in names
@@ -184,13 +189,13 @@ def test_schedule_filters_by_applicability():
 
 def test_schedule_is_deterministic_across_orders():
     spec = make_spec(ALL_FEATURES, "out")
-    baseline = schedule(compose_reference(ALL_FEATURES), spec)
+    baseline = _schedule(compose_reference(ALL_FEATURES), spec)
     components = list(reference_components())
     rng = random.Random(99)
     for _ in range(5):
         shuffled = components[:]
         rng.shuffle(shuffled)
-        again = schedule(compose_all(shuffled), spec)
+        again = _schedule(compose_all(shuffled), spec)
         assert again == baseline
 
 
@@ -212,6 +217,6 @@ def test_applicability_atoms_can_reference_options():
     )
     composed = compose_all([flag_user])
     spec_off = make_spec(("CD2Java",), "out")
-    assert schedule(composed, spec_off) == ()
+    assert _schedule(composed, spec_off) == ()
     spec_on = make_spec(("CD2Java",), "out", options={"Flagged.on": True})
-    assert [s.behavior for s in schedule(composed, spec_on)] == ["declare_x"]
+    assert [s.behavior for s in _schedule(composed, spec_on)] == ["declare_x"]

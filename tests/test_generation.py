@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from genline.classdiagram import ClassDiagram, parse_class_diagram
 from genline.components import Behavior, ComponentInterface, GeneratorComponent
 from genline.composition import compose_all
+from genline import ootl
 from genline.formula import TRUE
 from genline.generation import (
     GEN_CLAIM,
@@ -31,7 +32,6 @@ from genline.generation import (
     incremental_generate,
     resolve_hooks,
     trace_query,
-    validate_syntax,
 )
 
 from helpers import compose_reference, make_spec, read_tree
@@ -188,16 +188,34 @@ def test_container_defaults_and_validation():
         container.append("no newline")
 
 
-def test_validate_syntax_updates_status():
+def test_syntax_gate_reports_the_position_check_unit_finds(tmp_path):
     good = ArtifactContainer("A.oo", "C")
     good.append("package P;\nclass A {\n}\n")
-    assert validate_syntax(good).is_valid
+    assert ootl.check_unit(good.content()) is None
 
     bad = ArtifactContainer("B.oo", "C")
     bad.append("package P;\nclass B {\n")
-    status = validate_syntax(bad)
-    assert status.state == "invalid"
-    assert (status.line, status.column) == (3, 1)
+    message, line, column = ootl.check_unit(bad.content())
+    assert (line, column) == (3, 1)
+
+    def emit(ctx, comp):
+        ctx.adopt(comp, bad)
+
+    comp = _mk(
+        "C",
+        (
+            Behavior("declare_b", "declare", TRUE, lambda ctx, c: ctx.claim(c, "B.oo", "b")),
+            Behavior("emit_b", "emit", TRUE, emit),
+        ),
+    )
+    spec = make_spec(("CD2Java",), tmp_path / "out")
+    report = generate(compose_all([comp]), EMPTY_DIAGRAM, spec)
+    assert report.failed_stage == "syntax"
+    (violation,) = report.violations.violations
+    assert (violation.code, violation.subjects) == (GEN_SYNTAX, ("B.oo",))
+    assert violation.message == (
+        f"artifact 'B.oo' is not syntactically valid: {message} (line 3, column 1)"
+    )
 
 
 # ---------------------------------------------------------------------------

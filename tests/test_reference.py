@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from genline.classdiagram import parse_class_diagram
-from genline.generation import EngineError, Fact, generate, validate_syntax
+from genline import ootl
+from genline.generation import EngineError, Fact, generate
 from genline.reference import (
     FG_ENUM,
     FG_EXTERNAL,
@@ -162,7 +163,7 @@ def test_all_emitters_produce_valid_units():
         ),
     ]
     for container in containers:
-        assert validate_syntax(container).is_valid, container.path
+        assert ootl.check_unit(container.content()) is None, container.path
 
 
 def test_builder_emit_golden():
