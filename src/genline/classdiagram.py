@@ -320,11 +320,15 @@ def _name_clashes(diagram: ClassDiagram, symbols: SymbolTable) -> Iterable[Offen
         seen.add(decl.name)
 
 
+def _with_article(kind: str) -> str:
+    return f"an {kind}" if kind[0] in "aeiou" else f"a {kind}"
+
+
 def _bad_superclasses(diagram: ClassDiagram, symbols: SymbolTable) -> Iterable[Offense]:
     for cls in diagram.classes():
         kind = "class" if cls.superclass is None else symbols.kind_of(cls.superclass)
         if kind != "class":
-            what = "not declared" if kind is None else f"a {kind}, not a class"
+            what = "not declared" if kind is None else f"{_with_article(kind)}, not a class"
             message = f"superclass {cls.superclass!r} of {cls.name!r} is {what}"
             yield (cls.name, cls.superclass), message, cls.line, cls.column
 
@@ -385,7 +389,7 @@ def _bad_interfaces(diagram: ClassDiagram, symbols: SymbolTable) -> Iterable[Off
         for iface in cls.interfaces:
             kind = symbols.kind_of(iface)
             if kind != "interface":
-                what = "not declared" if kind is None else f"a {kind}, not an interface"
+                what = "not declared" if kind is None else f"{_with_article(kind)}, not an interface"
                 message = f"{cls.name!r} implements {iface!r}, which is {what}"
                 yield (cls.name, iface), message, cls.line, cls.column
 

@@ -237,8 +237,12 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         return EXIT_CONFIG
     if args.incremental:
         cache_dir = Path(args.cache or spec.output_path)
-        if args.cache and cache_dir.exists() and not cache_dir.is_dir():
-            raise UsageError(f"--cache {args.cache!r} is not a directory")
+        if args.cache:
+            # The nearest existing ancestor must be a directory, or the cache
+            # map could not be written after the outputs were swapped in.
+            existing = next(p for p in (cache_dir, *cache_dir.parents) if p.exists())
+            if not existing.is_dir():
+                raise UsageError(f"--cache {args.cache!r} is not a directory")
         cache_path = cache_dir / CACHE_FILE
         cache = (
             GenCache.from_text(cache_path.read_text(encoding="utf-8", errors="replace"))

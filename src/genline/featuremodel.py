@@ -1,9 +1,11 @@
-"""Feature models: parsing, configuration validation, and exhaustive enumeration.
+"""Feature models: parsing, configuration validation, and enumeration.
 
 A feature model is a tree of features with mandatory/optional markers, optional
 xor/or groups over a feature's children, and cross-tree requires/excludes
 constraints. A configuration is a set of selected features; it is valid when it
-satisfies the tree and constraint semantics.
+satisfies the tree and constraint semantics. ``model_formula`` states those
+semantics as one propositional formula (Batory, SPLC 2005), and enumeration
+counts and lists its models through a BDD instead of testing every subset.
 
 FML text format:
 
@@ -19,8 +21,10 @@ Comments run from "//" to end of line; whitespace is insignificant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 from typing import Iterator, Mapping
 
+from .formula import FALSE, TRUE, And, Atom, Bdd, Formula, Implies, Not, Or
 from .lexing import MAX_NESTING, TextSyntaxError, TokenStream, tokenize
 from .report import ValidationReport, Violation
 
@@ -327,26 +331,62 @@ def iter_subsets(model: FeatureModel) -> Iterator[Configuration]:
         yield Configuration(frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1))
 
 
+def model_formula(model: FeatureModel) -> Formula:
+    """The model's tree and constraints as one formula over its feature ids.
+
+    Its models are exactly the valid configurations: the root is selected, a
+    child implies its parent, a parent its mandatory children, a group owner
+    at least one member (and, for xor, no two members together), and each
+    requires/excludes constraint holds.
+    """
+    rules: list[Formula] = [Atom(model.root)]
+    for feature in model.features.values():
+        fid = feature.id
+        if feature.parent is not None:
+            rules.append(Implies(Atom(fid), Atom(feature.parent)))
+        for child in feature.children:
+            if model.features[child].variability == MANDATORY:
+                rules.append(Implies(Atom(fid), Atom(child)))
+        if feature.group is not None:
+            members = [Atom(m) for m in feature.group.members]
+            rules.append(Implies(Atom(fid), _balanced(Or, members, FALSE)))
+            if feature.group.kind == "xor":
+                rules.extend(Not(And(a, b)) for a, b in combinations(members, 2))
+    for ctc in model.constraints:
+        lhs, rhs = Atom(ctc.lhs), Atom(ctc.rhs)
+        rules.append(Implies(lhs, rhs) if ctc.kind == "requires" else Not(And(lhs, rhs)))
+    return _balanced(And, rules, TRUE)
+
+
+def _balanced(op: type, parts: list[Formula], empty: Formula) -> Formula:
+    """``parts`` joined by ``op`` in a tree of logarithmic depth."""
+    if not parts:
+        return empty
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return op(_balanced(op, parts[:mid], empty), _balanced(op, parts[mid:], empty))
+
+
 def enumerate_configurations(
     model: FeatureModel, limit: int | None = None
 ) -> tuple[int, list[Configuration] | None]:
-    """Brute-force count of valid configurations, plus the list when requested.
+    """Count of valid configurations, plus the list when requested.
 
-    The list (returned when `limit` is given, truncated to `limit` entries) is
-    ordered lexicographically by the sorted feature-id tuple of each
-    configuration, so enumeration order is stable across runs.
+    Both come from a BDD of ``model_formula`` over the sorted feature ids, so
+    the cost follows the size of that BDD, not the 2^n subsets. The list
+    (returned when `limit` is given, truncated to `limit` entries) is ordered
+    lexicographically by the sorted feature-id tuple of each configuration,
+    so enumeration order is stable across runs.
     """
     ids = model.feature_ids()
     if len(ids) > ENUMERATION_BOUND:
         raise FeatureModelError(
             f"model has {len(ids)} features, enumeration is bounded at {ENUMERATION_BOUND}"
         )
-    valid: list[tuple[str, ...]] = []
-    for config in iter_subsets(model):
-        if validate_configuration(model, config).valid:
-            valid.append(tuple(sorted(config.selected)))
-    valid.sort()
-    count = len(valid)
+    bdd = Bdd(ids)
+    root = bdd.compile(model_formula(model))
+    count = bdd.count(root)
     if limit is None:
         return count, None
-    return count, [Configuration(frozenset(t)) for t in valid[:limit]]
+    return count, [Configuration(frozenset(t)) for t in islice(bdd.solutions(root), limit)]

@@ -547,13 +547,9 @@ def _gate(stage: str, ctx: GenContext) -> tuple[Violation, ...]:
         for path, container in sorted(ctx.containers.items()):
             error = ootl.check_unit(container.content())
             if error is not None:
-                message, line, column = error
                 violations.append(
                     Violation(
-                        GEN_SYNTAX,
-                        (path,),
-                        f"artifact {path!r} is not syntactically valid: {message} "
-                        f"(line {line}, column {column})",
+                        GEN_SYNTAX, (path,), f"artifact {path!r} is not syntactically valid: {error}"
                     )
                 )
         return tuple(violations)

@@ -35,13 +35,13 @@ KEYWORDS = frozenset(
 )
 
 
-def check_unit(text: str) -> tuple[str, int, int] | None:
-    """Return None when the text is a valid unit, else (message, line, column)."""
+def check_unit(text: str) -> TextSyntaxError | None:
+    """Return None when the text is a valid unit, else its first syntax error."""
     try:
         ts = TokenStream(tokenize(text, _PUNCTS))
         _unit(ts)
     except TextSyntaxError as exc:
-        return exc.message, exc.line, exc.column
+        return exc
     return None
 
 

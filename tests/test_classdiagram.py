@@ -138,7 +138,7 @@ def test_cc02_superclass_rules():
     assert report.codes() == (CC_SUPERCLASS,)
     report = _check("classdiagram D { class A extends E { } enum E { X } }")
     assert report.codes() == (CC_SUPERCLASS,)
-    assert "a enum, not a class" in report.violations[0].message
+    assert "an enum, not a class" in report.violations[0].message
 
 
 def test_cc03_inheritance_cycle_reported_once():

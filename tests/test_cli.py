@@ -255,10 +255,23 @@ def test_generate_incremental_cache_that_is_not_a_directory(tmp_path):
     assert read_tree(tmp_path / "out") == before
     assert afile.read_text() == "not a cache\n"
 
-    # A cache map that cannot be written is a generation error naming the file.
-    code, _, err = run("generate", "--incremental", "--cache", str(afile / "sub"), "-s", str(vsp))
-    assert code == EXIT_GENERATION
-    assert err.startswith(f"cannot write {str(afile / 'sub' / 'gencache.map')!r}: ")
+
+def test_generate_incremental_cache_under_a_file(tmp_path):
+    vsp = write_variant(tmp_path)
+    assert run("generate", "-s", str(vsp))[0] == EXIT_OK
+    before = read_tree(tmp_path / "out")
+    afile = tmp_path / "afile"
+    afile.write_text("not a cache\n")
+    write_variant(tmp_path, cdl=SHOP_CDL.replace("total: int;", "total: int; paid: boolean;"))
+
+    # A cache directory that could never be created is refused before the
+    # outputs are replaced, so the old outputs stay as they were.
+    cache = afile / "sub"
+    code, out, err = run("generate", "--incremental", "--cache", str(cache), "-s", str(vsp))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"usage error: --cache {str(cache)!r} is not a directory\n"
+    assert read_tree(tmp_path / "out") == before
+    assert afile.read_text() == "not a cache\n"
 
 
 @pytest.mark.parametrize(

@@ -66,8 +66,8 @@ TRIP = {
     ],
     "CC-02": [
         (("A", "Missing"), "superclass 'Missing' of 'A' is not declared at 3:22"),
-        (("B", "I"), "superclass 'I' of 'B' is a interface, not a class at 5:9"),
-        (("C", "E"), "superclass 'E' of 'C' is a enum, not a class at 6:9"),
+        (("B", "I"), "superclass 'I' of 'B' is an interface, not a class at 5:9"),
+        (("C", "E"), "superclass 'E' of 'C' is an enum, not a class at 6:9"),
     ],
     "CC-03": [(("P", "Q"), "inheritance cycle: P -> Q -> P")],
     "CC-04": [
@@ -77,7 +77,7 @@ TRIP = {
     "CC-05": [
         (("A", "Gone"), "'A' implements 'Gone', which is not declared at 3:22"),
         (("B", "A"), "'B' implements 'A', which is a class, not an interface at 5:9"),
-        (("C", "E"), "'C' implements 'E', which is a enum, not an interface at 6:9"),
+        (("C", "E"), "'C' implements 'E', which is an enum, not an interface at 6:9"),
     ],
     "FG-ENUM": [(("E",), "enum 'E' needs the Enum feature at 10:8")],
     "FG-EXTERNAL": [

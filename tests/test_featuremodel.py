@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genline.featuremodel import (
     CFG_EXCLUDES,
@@ -14,14 +16,20 @@ from genline.featuremodel import (
     MANDATORY,
     OPTIONAL,
     Configuration,
+    CrossTreeConstraint,
+    Feature,
+    FeatureGroup,
+    FeatureModel,
     FeatureModelError,
     FmlSyntaxError,
     enumerate_configurations,
     format_feature_model,
     iter_subsets,
+    model_formula,
     parse_feature_model,
     validate_configuration,
 )
+from genline.formula import evaluate
 from genline.reference import REFERENCE_FML, reference_feature_model
 
 from helpers import ALL_FEATURES
@@ -225,3 +233,109 @@ def test_comments_and_whitespace_are_insignificant():
         "// header\nfeaturemodel M {\n  R! { // root\n    A?\n  }\n}\n"
     )
     assert model.feature_ids() == ("A", "R")
+
+
+def test_24_features_are_counted_without_visiting_every_subset():
+    # 2^24 subsets would take minutes to validate one by one. The subtrees
+    # are independent apart from the two constraints, so the count is a
+    # product:
+    #   X: off, or on with one of four (xor)                     5 states
+    #   P: off, or on with any of P1..P4                         17 states
+    #      "P1 requires X1" keeps (X, P) pairs: 5 * 9 + 1 * 8 = 53
+    #   O: on, with a non-empty subset of O1..O3 (or)            7 states
+    #      "L1 excludes O1" keeps (O, L1) pairs: 7 + 3          = 10
+    #   M: on with M1, and any of M2, M3                         4 states
+    #   L2..L5: free                                             16 states
+    model = parse_feature_model(
+        """featuremodel Big {
+          Root! {
+            X? { X1? X2? X3? X4? xor { X1, X2, X3, X4 } }
+            O! { O1? O2? O3? or { O1, O2, O3 } }
+            P? { P1? P2? P3? P4? }
+            M! { M1! M2? M3? }
+            L1? L2? L3? L4? L5?
+          }
+        }
+        constraints { P1 requires X1; L1 excludes O1; }"""
+    )
+    assert len(model.feature_ids()) == 24
+    assert enumerate_configurations(model) == (53 * 10 * 4 * 16, None)
+
+
+# ---------------------------------------------------------------------------
+# Properties over random feature models
+
+# Mixed case and underscores, so sorted id order differs from tree order.
+_NAMES = ("Root", "A", "b", "C_1", "Zeta", "a2", "_x", "Mid", "q", "B9", "z_", "Kk")
+
+
+@st.composite
+def feature_models(draw, max_features: int = 12) -> FeatureModel:
+    """Random models: mandatory and optional features, xor and or groups over
+    some of a feature's children, and requires/excludes constraints."""
+    n = draw(st.integers(1, max_features))
+    names = draw(st.permutations(_NAMES))[:n]
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    features: dict[str, Feature] = {}
+
+    def build(i: int) -> None:
+        kids = [j for j in range(1, n) if parents[j] == i]
+        group = None
+        if kids and draw(st.booleans()):
+            members = draw(st.lists(st.sampled_from(kids), min_size=1, unique=True))
+            kind = draw(st.sampled_from(("xor", "or")))
+            group = FeatureGroup(kind, tuple(names[m] for m in members))
+        features[names[i]] = Feature(
+            id=names[i],
+            name=names[i],
+            parent=None if parents[i] is None else names[parents[i]],
+            variability=draw(st.sampled_from((OPTIONAL, OPTIONAL, MANDATORY))),
+            children=tuple(names[k] for k in kids),
+            group=group,
+        )
+        for k in kids:
+            build(k)
+
+    build(0)
+    pairs = st.tuples(
+        st.sampled_from(("requires", "excludes")), st.sampled_from(names), st.sampled_from(names)
+    ).filter(lambda c: c[1] != c[2])
+    constraints = draw(st.lists(pairs, max_size=4)) if n > 1 else []
+    return FeatureModel(
+        "M", names[0], features, tuple(CrossTreeConstraint(*c) for c in constraints)
+    )
+
+
+def _oracle(model: FeatureModel) -> list[Configuration]:
+    valid = sorted(
+        tuple(sorted(config.selected))
+        for config in iter_subsets(model)
+        if validate_configuration(model, config).valid
+    )
+    return [Configuration(frozenset(t)) for t in valid]
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_models(), st.integers(0, 40))
+def test_enumeration_equals_the_subset_oracle(model, limit):
+    expected = _oracle(model)
+    assert enumerate_configurations(model) == (len(expected), None)
+    assert enumerate_configurations(model, limit=limit) == (len(expected), expected[:limit])
+    everything = 1 << len(model.features)
+    assert enumerate_configurations(model, limit=everything) == (len(expected), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(feature_models())
+def test_model_formula_holds_exactly_on_valid_configurations(model):
+    formula = model_formula(model)
+    for config in iter_subsets(model):
+        assert evaluate(formula, config.selected, {}) == (
+            validate_configuration(model, config).valid
+        ), sorted(config.selected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(feature_models())
+def test_format_then_parse_round_trips(model):
+    assert parse_feature_model(format_feature_model(model)) == model

@@ -195,8 +195,8 @@ def test_syntax_gate_reports_the_position_check_unit_finds(tmp_path):
 
     bad = ArtifactContainer("B.oo", "C")
     bad.append("package P;\nclass B {\n")
-    message, line, column = ootl.check_unit(bad.content())
-    assert (line, column) == (3, 1)
+    error = ootl.check_unit(bad.content())
+    assert (error.line, error.column) == (3, 1)
 
     def emit(ctx, comp):
         ctx.adopt(comp, bad)
@@ -214,7 +214,7 @@ def test_syntax_gate_reports_the_position_check_unit_finds(tmp_path):
     (violation,) = report.violations.violations
     assert (violation.code, violation.subjects) == (GEN_SYNTAX, ("B.oo",))
     assert violation.message == (
-        f"artifact 'B.oo' is not syntactically valid: {message} (line 3, column 1)"
+        f"artifact 'B.oo' is not syntactically valid: {error.message} (line 3, column 1)"
     )
 
 

@@ -97,4 +97,4 @@ def test_any_text_is_a_syntax_error_or_a_result(text):
         except TextSyntaxError:
             pass
     result = check_unit(text)
-    assert result is None or (isinstance(result, tuple) and len(result) == 3)
+    assert result is None or isinstance(result, TextSyntaxError)

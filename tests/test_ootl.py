@@ -56,7 +56,7 @@ def test_invalid_units_report_positions():
     for text, fragment, line, column in INVALID_UNITS:
         result = check_unit(text)
         assert result is not None, text
-        message, got_line, got_column = result
+        message, got_line, got_column = result.message, result.line, result.column
         assert fragment in message, (text, message)
         assert (got_line, got_column) == (line, column), (text, message, got_line, got_column)
 
@@ -76,5 +76,4 @@ def test_this_is_not_an_lvalue_root():
 def test_error_is_first_failure():
     result = check_unit("package P;\nclass A {\n  int 1x;\n}\n")
     assert result is not None
-    _, line, _ = result
-    assert line == 3
+    assert result.line == 3
