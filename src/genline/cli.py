@@ -43,6 +43,7 @@ from .generation import (
     TraceIndex,
     generate,
     incremental_generate,
+    recover_interrupted_swap,
     trace_query,
 )
 from .lexing import TextSyntaxError
@@ -243,17 +244,19 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             existing = next(p for p in (cache_dir, *cache_dir.parents) if p.exists())
             if not existing.is_dir():
                 raise UsageError(f"--cache {args.cache!r} is not a directory")
+        # A swap cut off by a kill leaves the cache map in a backup directory.
+        recover_interrupted_swap(Path(spec.output_path))
         cache_path = cache_dir / CACHE_FILE
-        cache = (
-            GenCache.from_text(cache_path.read_text(encoding="utf-8", errors="replace"))
-            if cache_path.is_file()
-            else GenCache()
-        )
+        old_text = cache_path.read_bytes() if cache_path.is_file() else None
+        cache = GenCache.from_text((old_text or b"").decode("utf-8", errors="replace"))
         report, new_cache = incremental_generate(composed, diagram, spec, cache)
-        if report.ok:
+        new_text = new_cache.to_text().encode("utf-8")
+        # A swap drops a cache map kept in the output directory; a run that
+        # changed nothing leaves it, and it already holds this text.
+        if report.ok and (new_text != old_text or not cache_path.is_file()):
             try:
                 cache_path.parent.mkdir(parents=True, exist_ok=True)
-                cache_path.write_text(new_cache.to_text(), encoding="utf-8")
+                cache_path.write_bytes(new_text)
             except OSError as exc:
                 raise GenerationIOError(f"cannot write {str(cache_path)!r}: {exc}") from exc
     else:

@@ -7,18 +7,21 @@ filesystem until every container has passed syntax validation and every
 required hook is resolved; then all files are written in one atomic
 stage-and-swap. Incremental runs reuse artifacts whose cache key (input
 element, component, options, consumed facts) is unchanged, with outputs
-byte-identical to a cold run.
+byte-identical to a cold run: a reused artifact is hard-linked into the
+stage, never rewritten, and a run that reuses everything leaves the output
+directory alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import shutil
 import tempfile
 import uuid
 from dataclasses import dataclass, replace
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import ootl
 from .classdiagram import ClassDiagram, ContextCondition, check_context_conditions
@@ -498,13 +501,13 @@ def _cache_key(
 
 def _lookup_cache(
     cache: GenCache, composed: ComposedGenerator, ctx: GenContext, out_dir: Path
-) -> tuple[dict[str, str], dict[str, tuple[str, tuple[TraceRegion, ...]]]]:
+) -> tuple[dict[str, str], dict[str, tuple[str, tuple[TraceRegion, ...]]], bytes | None]:
     """Key every claim, and find the claims whose previous output is reusable.
 
     A claim is a hit when its key matches the cache entry, the file on disk
     still has the recorded content digest, and the previous trace covers it.
-    Returns the keys and, per hit, the text read for the digest check and its
-    trace regions.
+    Returns the keys, per hit its content digest and trace regions, and the
+    previous trace map's bytes (None when there is none).
     """
     keys = {
         path: _cache_key(meta, composed, ctx, ctx.board)
@@ -513,8 +516,9 @@ def _lookup_cache(
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
     trace_path = out_dir / TRACE_FILE
     if not trace_path.is_file():
-        return keys, hits
-    old_trace = TraceIndex.from_text(trace_path.read_text(encoding="utf-8", errors="replace"))
+        return keys, hits, None
+    old_trace_bytes = trace_path.read_bytes()
+    old_trace = TraceIndex.from_text(old_trace_bytes.decode("utf-8", errors="replace"))
     for path, key in keys.items():
         entry = cache.entries.get(path)
         regions = old_trace.by_artifact.get(path)
@@ -522,10 +526,9 @@ def _lookup_cache(
         if entry is None or entry[0] != key or regions is None or not existing.is_file():
             continue
         # A file that is not UTF-8 cannot match a digest of UTF-8 text: a miss.
-        data = existing.read_bytes()
-        if hashlib.sha256(data).hexdigest() == entry[1]:
-            hits[path] = (data.decode("utf-8"), regions)
-    return keys, hits
+        if hashlib.sha256(existing.read_bytes()).hexdigest() == entry[1]:
+            hits[path] = (entry[1], regions)
+    return keys, hits, old_trace_bytes
 
 
 def _gate(stage: str, ctx: GenContext) -> tuple[Violation, ...]:
@@ -569,13 +572,15 @@ def _run_engine(
     board = Blackboard()
     ctx = GenContext(diagram, spec, bindings, board)
     out_dir = Path(spec.output_path)
+    recover_interrupted_swap(out_dir)
     keys: dict[str, str] = {}
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
+    old_trace: bytes | None = None
 
     # The syntax and hook stages run no behaviors, only their gates.
     for stage in (*PHASES, "syntax", "hooks"):
         if stage == "emit" and cache is not None:
-            keys, hits = _lookup_cache(cache, composed, ctx, out_dir)
+            keys, hits, old_trace = _lookup_cache(cache, composed, ctx, out_dir)
             ctx._hits = frozenset(hits)
         ctx.phase = stage
         try:
@@ -601,13 +606,18 @@ def _run_engine(
     fresh = [c for path, c in ctx.containers.items() if path not in hits]
     files = {c.path: c.content() for c in fresh}
     regions = {c.path: c.regions for c in fresh}
-    for path, (text, hit_regions) in hits.items():
-        files[path] = text
+    for path, (_, hit_regions) in hits.items():
         regions[path] = hit_regions
     trace = TraceIndex(regions)
     files[TRACE_FILE] = trace.to_text()
 
-    _atomic_swap(out_dir, files)
+    unchanged = (
+        not fresh
+        and old_trace == files[TRACE_FILE].encode("utf-8")
+        and _holds_exactly(out_dir, {*hits, TRACE_FILE})
+    )
+    if not unchanged:
+        _atomic_swap(out_dir, files, hits.keys())
 
     report = GenerationReport(
         written=tuple(sorted(c.path for c in fresh)),
@@ -616,24 +626,72 @@ def _run_engine(
         violations=ValidationReport(),
         trace=trace,
     )
-    return report, GenCache({path: (key, _digest(files[path])) for path, key in keys.items()})
+    return report, GenCache(
+        {
+            path: (key, hits[path][0] if path in hits else _digest(files[path]))
+            for path, key in keys.items()
+        }
+    )
 
 
-def _atomic_swap(out_dir: Path, files: Mapping[str, str]) -> None:
+def _holds_exactly(out_dir: Path, files: set[str]) -> bool:
+    """Whether ``out_dir`` holds these regular files, maybe the cache map, and nothing else.
+
+    Paths are compared as claimed, so one such as ``./A.oo`` never matches;
+    a false "differs" only costs a swap.
+    """
+    dirs = set()
+    for path in files:
+        while "/" in path:
+            path = path.rpartition("/")[0]
+            dirs.add(path)
+    found = 0
+    pending = [""]
+    try:
+        if out_dir.is_symlink():
+            return False
+        while pending:
+            folder = pending.pop()
+            with os.scandir(out_dir / folder) as entries:
+                for entry in entries:
+                    path = f"{folder}/{entry.name}" if folder else entry.name
+                    if entry.is_dir(follow_symlinks=False) and path in dirs:
+                        pending.append(path)
+                    elif entry.is_file(follow_symlinks=False) and path in files:
+                        found += 1
+                    elif not (path == CACHE_FILE and entry.is_file(follow_symlinks=False)):
+                        return False
+    except OSError:
+        return False
+    return found == len(files)
+
+
+def _atomic_swap(out_dir: Path, files: Mapping[str, str], linked: Collection[str]) -> None:
+    """Replace ``out_dir`` with the written ``files`` plus the ``linked`` paths of the old output.
+
+    Linked paths are hard-linked from ``out_dir`` into the stage, or copied
+    where the filesystem refuses the link.
+    """
     parent = out_dir.resolve().parent
     resolved = parent / out_dir.name
     try:
-        _check_replaceable(resolved, files)
+        _check_replaceable(resolved, {*files, *linked})
         parent.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.stage-", dir=parent))
     except OSError as exc:
         raise GenerationIOError(f"cannot stage outputs: {exc}") from exc
     backup = parent / f".{out_dir.name}.old-{uuid.uuid4().hex}"
     try:
+        for rel in (*files, *linked):
+            if "/" in rel:
+                (stage / rel).parent.mkdir(parents=True, exist_ok=True)
         for rel, text in files.items():
-            target = stage / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text, encoding="utf-8")
+            (stage / rel).write_text(text, encoding="utf-8")
+        for rel in linked:
+            try:
+                os.link(out_dir / rel, stage / rel)
+            except OSError:
+                shutil.copyfile(out_dir / rel, stage / rel)
         if resolved.exists():
             resolved.rename(backup)
         stage.rename(resolved)
@@ -645,17 +703,53 @@ def _atomic_swap(out_dir: Path, files: Mapping[str, str]) -> None:
     shutil.rmtree(backup, ignore_errors=True)
 
 
-def _check_replaceable(out_dir: Path, files: Mapping[str, str]) -> None:
+def recover_interrupted_swap(out_dir: Path) -> None:
+    """Undo a swap that was cut off between its two renames.
+
+    Such a swap leaves no ``out_dir``, a ``.<out>.old-*`` sibling holding the
+    previous output and a ``.<out>.stage-*`` sibling. When ``out_dir`` is
+    missing, the newest old sibling that has a trace map becomes ``out_dir``
+    again and every other such sibling is removed. Otherwise nothing happens.
+    """
+    if os.path.lexists(out_dir):
+        return
+    parent = out_dir.resolve().parent
+    resolved = parent / out_dir.name
+    prefixes = (f".{out_dir.name}.old-", f".{out_dir.name}.stage-")
+    try:
+        with os.scandir(parent) as entries:
+            leftovers = [
+                Path(entry.path)
+                for entry in entries
+                if entry.name.startswith(prefixes) and entry.is_dir(follow_symlinks=False)
+            ]
+    except OSError:
+        return  # no parent directory, so nothing to recover; the swap reports real faults
+    try:
+        backups = [
+            p for p in leftovers if p.name.startswith(prefixes[0]) and (p / TRACE_FILE).is_file()
+        ]
+        if backups:
+            newest = max(backups, key=lambda p: p.stat().st_mtime_ns)
+            newest.rename(resolved)
+            leftovers.remove(newest)
+    except OSError as exc:
+        raise GenerationIOError(f"cannot recover an interrupted output swap: {exc}") from exc
+    for path in leftovers:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def _check_replaceable(out_dir: Path, paths: set[str]) -> None:
     """Refuse to replace a directory that genline did not write.
 
     An earlier output has a trace.map. Without one (it may have been deleted),
-    the directory may hold only files this run writes and the cache map.
+    the directory may hold only files this run writes or links and the cache map.
     """
     if not out_dir.exists() or (out_dir / TRACE_FILE).is_file():
         return
     if not out_dir.is_dir():
         raise GenerationIOError(f"refusing to replace {str(out_dir)!r}: it is not a directory")
-    ours = set(files) | {CACHE_FILE}
+    ours = paths | {CACHE_FILE}
     for path in out_dir.rglob("*"):
         rel = path.relative_to(out_dir).as_posix()
         if not path.is_dir() and rel not in ours:

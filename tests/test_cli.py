@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import io
+import os
 import shutil
 from pathlib import Path
 
@@ -238,6 +240,125 @@ def test_generate_incremental_custom_cache_dir(tmp_path):
     assert not (tmp_path / "out" / "gencache.map").exists()
     code, out, _ = run("generate", "--incremental", "--cache", str(cache_dir), "-s", str(vsp))
     assert code == EXIT_OK and "written: none" in out
+
+
+EDITED_CDL = SHOP_CDL.replace("age: int;", "age: int; email: string;")
+
+
+def _file_stats(root: Path) -> dict[str, tuple[int, int]]:
+    """(inode, mtime in ns) of every file under root, keyed by relative path."""
+    return {
+        p.relative_to(root).as_posix(): (p.stat().st_ino, p.stat().st_mtime_ns)
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+
+
+def test_generate_incremental_leaves_reused_files_alone(tmp_path):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    before = _file_stats(out_dir)
+
+    # A run that changes nothing touches no file and stages nothing.
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert "written: none\n" in out
+    assert _file_stats(out_dir) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+
+    # After an edit the reused artifacts keep their files; only the edited
+    # ones and the trace map are new.
+    write_variant(tmp_path, cdl=EDITED_CDL)
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert "written: Person.oo, PersonBuilder.oo\n" in out
+    after = _file_stats(out_dir)
+    assert sorted(after) == sorted(before)
+    for path in ("Receipt.oo", "ReceiptBuilder.oo", "ShopFactory.oo"):
+        assert after[path] == before[path], path
+    for path in ("Person.oo", "PersonBuilder.oo", "trace.map"):
+        assert after[path][0] != before[path][0], path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+
+
+def test_generate_incremental_copies_where_links_fail(tmp_path, monkeypatch):
+    """Reused artifacts are copied when the filesystem refuses a hard link,
+    with the same outputs, trace map, cache map and report."""
+    refused = []
+
+    def no_link(src, dst, **kwargs):
+        refused.append(dst)
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    results = {}
+    for name in ("link", "copy"):
+        root = tmp_path / name
+        root.mkdir()
+        if name == "copy":
+            monkeypatch.setattr(os, "link", no_link)
+        runs = []
+        for cdl in (SHOP_CDL, EDITED_CDL, EDITED_CDL):  # cold, edit, no change
+            vsp = write_variant(root, cdl=cdl)
+            code, out, err = run("generate", "--incremental", "-s", str(vsp))
+            assert code == EXIT_OK, err
+            runs.append((out.replace(str(root), "<root>"), read_tree(root / "out")))
+        results[name] = runs
+    assert len(refused) == 3  # the edit run reused three artifacts
+    assert results["copy"] == results["link"]
+
+
+@pytest.mark.parametrize("damage", ["stray file", "deleted artifact", "edited trace"])
+def test_generate_incremental_replaces_an_output_that_differs(tmp_path, damage):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(out_dir)
+    if damage == "stray file":
+        (out_dir / "notes.txt").write_text("scratch\n")
+    elif damage == "deleted artifact":
+        (out_dir / "Receipt.oo").unlink()
+    else:
+        with (out_dir / "trace.map").open("a") as trace:
+            trace.write("# edited by hand\n")
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    written = "Receipt.oo" if damage == "deleted artifact" else "none"
+    assert f"written: {written}\n" in out
+    assert read_tree(out_dir) == cold
+
+
+@pytest.mark.parametrize("rerun", [("--incremental",), ()], ids=["incremental", "plain"])
+def test_generate_recovers_a_swap_cut_off_between_its_renames(tmp_path, monkeypatch, rerun):
+    vsp = write_variant(tmp_path)
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(tmp_path / "out")
+    real_rename = Path.rename
+    renames = []
+
+    def rename(self, target):
+        renames.append(target)
+        if len(renames) == 2:  # output moved aside, stage not yet moved in
+            raise KeyboardInterrupt
+        return real_rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", rename)
+    with pytest.raises(KeyboardInterrupt):
+        run("generate", "-s", str(vsp))
+    monkeypatch.undo()
+    left = sorted(p.name.split("-")[0] for p in tmp_path.iterdir())
+    assert left == [".out.old", ".out.stage", "demo.vsp", "shop.cdl"]
+
+    code, out, err = run("generate", *rerun, "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+    if rerun:
+        # The old output and its cache map are back, so everything is reused.
+        assert "written: none\n" in out
+        assert read_tree(tmp_path / "out") == cold
+    else:
+        del cold["gencache.map"]  # only --incremental writes it
+        assert read_tree(tmp_path / "out") == cold
 
 
 def test_generate_incremental_cache_that_is_not_a_directory(tmp_path):

@@ -787,6 +787,46 @@ def test_incremental_without_trace_regenerates(tmp_path):
     assert (tmp_path / "out" / "trace.map").is_file()
 
 
+def test_incremental_reuses_artifacts_in_subdirectories(tmp_path):
+    bodies = {"p/q/A.oo": "class A {\n}\n", "B.oo": "class B {\n}\n"}
+
+    def declare(ctx, comp):
+        for path, body in bodies.items():
+            ctx.claim(comp, path, f"unit/{body}")
+
+    def emit(ctx, comp):
+        for path, body in bodies.items():
+            if ctx.should_emit(path):
+                container = ArtifactContainer(path, comp.id)
+                container.append("package P;\n" + body)
+                ctx.adopt(comp, container)
+
+    comp = _mk(
+        "Nested",
+        (Behavior("declare_n", "declare", TRUE, declare), Behavior("emit_n", "emit", TRUE, emit)),
+    )
+    composed = compose_all([comp])
+    out = tmp_path / "out"
+    spec = make_spec(("CD2Java",), out)
+    _, cache = incremental_generate(composed, EMPTY_DIAGRAM, spec, GenCache())
+    nested = (out / "p" / "q" / "A.oo").stat().st_ino
+
+    bodies["B.oo"] = "class C {\n}\n"
+    report, cache = incremental_generate(composed, EMPTY_DIAGRAM, spec, cache)
+    assert (report.written, report.skipped_cache_hits) == (("B.oo",), ("p/q/A.oo",))
+    assert (out / "p" / "q" / "A.oo").stat().st_ino == nested
+    cold = make_spec(("CD2Java",), tmp_path / "cold")
+    assert generate(composed, EMPTY_DIAGRAM, cold).ok
+    assert read_tree(out) == read_tree(tmp_path / "cold")
+
+    # A directory the run would not write is removed, as a swap removes it.
+    (out / "p" / "extra").mkdir()
+    report, _ = incremental_generate(composed, EMPTY_DIAGRAM, spec, cache)
+    assert report.written == ()
+    assert sorted(p.name for p in (out / "p").iterdir()) == ["q"]
+    assert (out / "p" / "q" / "A.oo").stat().st_ino == nested
+
+
 def test_incremental_trace_matches_cold_trace(tmp_path):
     composed, diagram, spec = _pipeline(tmp_path)
     _, cache = incremental_generate(composed, diagram, spec, GenCache())
