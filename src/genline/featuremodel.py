@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .formula import FALSE, TRUE, And, Atom, Bdd, Formula, Implies, Not, Or
 from .lexing import MAX_NESTING, TextSyntaxError, TokenStream, tokenize
@@ -324,13 +324,6 @@ def validate_configuration(model: FeatureModel, config: Configuration) -> Valida
     return ValidationReport(tuple(violations))
 
 
-def iter_subsets(model: FeatureModel) -> Iterator[Configuration]:
-    """All subsets of the model's features, in lexicographic id order."""
-    ids = model.feature_ids()
-    for mask in range(1 << len(ids)):
-        yield Configuration(frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1))
-
-
 def model_formula(model: FeatureModel) -> Formula:
     """The model's tree and constraints as one formula over its feature ids.
 
@@ -377,12 +370,13 @@ def enumerate_configurations(
     the cost follows the size of that BDD, not the 2^n subsets. The list
     (returned when `limit` is given, truncated to `limit` entries) is ordered
     lexicographically by the sorted feature-id tuple of each configuration,
-    so enumeration order is stable across runs.
+    so enumeration order is stable across runs. Only a list is refused for a
+    model of more than ENUMERATION_BOUND features; a count has no bound.
     """
     ids = model.feature_ids()
-    if len(ids) > ENUMERATION_BOUND:
+    if limit is not None and len(ids) > ENUMERATION_BOUND:
         raise FeatureModelError(
-            f"model has {len(ids)} features, enumeration is bounded at {ENUMERATION_BOUND}"
+            f"model has {len(ids)} features, listing is bounded at {ENUMERATION_BOUND}"
         )
     bdd = Bdd(ids)
     root = bdd.compile(model_formula(model))

@@ -7,9 +7,10 @@ filesystem until every container has passed syntax validation and every
 required hook is resolved; then all files are written in one atomic
 stage-and-swap. Incremental runs reuse artifacts whose cache key (input
 element, component, options, consumed facts) is unchanged, with outputs
-byte-identical to a cold run: a reused artifact is hard-linked into the
-stage, never rewritten, and a run that reuses everything leaves the output
-directory alone.
+byte-identical to a cold run. Every run, incremental or not, writes only the
+files whose bytes changed: a cache hit, or a file already on disk with the
+same bytes, is hard-linked into the stage, never rewritten, and a run that
+changes nothing leaves the output directory alone.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import stat
 import tempfile
 import uuid
 from dataclasses import dataclass, replace
@@ -270,17 +272,16 @@ class TraceQueryResult:
     artifact_regions: tuple[TraceRegion, ...] = ()
 
 
-def trace_query(trace: TraceIndex, query: str, kind: str | None = None) -> TraceQueryResult:
-    """Look up a feature id or an artifact path in a trace index.
+def trace_query(trace: TraceIndex, query: str, kind: str) -> TraceQueryResult:
+    """Look up a feature id (kind "feature") or an artifact path (kind "artifact").
 
-    With kind=None the query is matched against artifacts first, then
-    features. Unknown names produce an empty "unknown" result, not an error.
+    Unknown names produce an empty "unknown" result, not an error.
     """
-    if kind not in (None, "feature", "artifact"):
+    if kind not in ("feature", "artifact"):
         raise ValueError(f"unknown query kind {kind!r}")
-    if kind in (None, "artifact") and query in trace.by_artifact:
+    if kind == "artifact" and query in trace.by_artifact:
         return TraceQueryResult("artifact", query, artifact_regions=trace.by_artifact[query])
-    if kind in (None, "feature") and query in trace.by_feature:
+    if kind == "feature" and query in trace.by_feature:
         return TraceQueryResult("feature", query, feature_ranges=trace.by_feature[query])
     return TraceQueryResult("unknown", query)
 
@@ -505,7 +506,8 @@ def _lookup_cache(
     """Key every claim, and find the claims whose previous output is reusable.
 
     A claim is a hit when its key matches the cache entry, the file on disk
-    still has the recorded content digest, and the previous trace covers it.
+    is a regular file that still has the recorded content digest, and the
+    previous trace could be the one written with it (see ``_traces``).
     Returns the keys, per hit its content digest and trace regions, and the
     previous trace map's bytes (None when there is none).
     """
@@ -519,16 +521,39 @@ def _lookup_cache(
         return keys, hits, None
     old_trace_bytes = trace_path.read_bytes()
     old_trace = TraceIndex.from_text(old_trace_bytes.decode("utf-8", errors="replace"))
+    features = ctx.selected | {CORE_FEATURE}
     for path, key in keys.items():
         entry = cache.entries.get(path)
         regions = old_trace.by_artifact.get(path)
         existing = out_dir / path
-        if entry is None or entry[0] != key or regions is None or not existing.is_file():
+        if entry is None or entry[0] != key or regions is None or _regular_size(existing) is None:
             continue
+        data = existing.read_bytes()
         # A file that is not UTF-8 cannot match a digest of UTF-8 text: a miss.
-        if hashlib.sha256(existing.read_bytes()).hexdigest() == entry[1]:
+        if hashlib.sha256(data).hexdigest() == entry[1] and _traces(
+            regions, data, ctx.claim_meta[path].component, features
+        ):
             hits[path] = (entry[1], regions)
     return keys, hits, old_trace_bytes
+
+
+def _traces(
+    regions: Sequence[TraceRegion], data: bytes, component: str, features: frozenset[str]
+) -> bool:
+    """Whether ``regions`` could be the trace a run wrote for the artifact ``data``.
+
+    They must cover its lines in order, name the component that claims it and
+    only features of this variant. This keeps a damaged trace map a miss.
+    """
+    line = 1
+    for region in regions:
+        if region.start != line or region.component != component:
+            return False
+        for feature in region.features:
+            if feature not in features:
+                return False
+        line = region.end + 1
+    return line == data.count(b"\n") + 1
 
 
 def _gate(stage: str, ctx: GenContext) -> tuple[Violation, ...]:
@@ -611,13 +636,11 @@ def _run_engine(
     trace = TraceIndex(regions)
     files[TRACE_FILE] = trace.to_text()
 
-    unchanged = (
-        not fresh
-        and old_trace == files[TRACE_FILE].encode("utf-8")
-        and _holds_exactly(out_dir, {*hits, TRACE_FILE})
-    )
-    if not unchanged:
-        _atomic_swap(out_dir, files, hits.keys())
+    # Early cutoff: a file whose bytes are already on disk is linked, not rewritten.
+    same = _same_on_disk(out_dir, files, old_trace)
+    if len(same) < len(files) or not _holds_exactly(out_dir, {*hits, *same}):
+        changed = {path: text for path, text in files.items() if path not in same}
+        _atomic_swap(out_dir, changed, [*hits, *same])
 
     report = GenerationReport(
         written=tuple(sorted(c.path for c in fresh)),
@@ -632,6 +655,41 @@ def _run_engine(
             for path, key in keys.items()
         }
     )
+
+
+def _same_on_disk(out_dir: Path, files: Mapping[str, str], old_trace: bytes | None) -> set[str]:
+    """The paths among ``files`` whose copy in ``out_dir`` is a regular file with these bytes.
+
+    Only a file of the same size is read, and the trace map not at all when
+    the cache lookup has already read it into ``old_trace``.
+    """
+    if not os.path.isdir(out_dir):
+        return set()
+    same = set()
+    for path, text in files.items():
+        data = text.encode("utf-8")
+        existing = out_dir / path
+        if _regular_size(existing) != len(data):
+            continue
+        if path == TRACE_FILE and old_trace is not None:
+            old = old_trace
+        else:
+            try:
+                old = existing.read_bytes()
+            except OSError:
+                continue
+        if old == data:
+            same.add(path)
+    return same
+
+
+def _regular_size(path: Path) -> int | None:
+    """The size of ``path`` if it is a regular file, not a symlink; else None."""
+    try:
+        info = os.lstat(path)
+    except OSError:
+        return None
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
 
 
 def _holds_exactly(out_dir: Path, files: set[str]) -> bool:

@@ -1,13 +1,16 @@
-"""Shared fixtures-in-spirit: covering input model, variant plumbing, dir diffing."""
+"""Shared fixtures-in-spirit: covering input model, variant plumbing, dir diffing,
+and the subset walk that enumeration is checked against."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from genline import (
     ClassDiagram,
     Configuration,
+    FeatureModel,
     GeneratorComponent,
     VariantSpec,
     compose_all,
@@ -119,6 +122,14 @@ def derive_and_generate(selected, diagram: ClassDiagram, spec: VariantSpec):
     report = generate(composed, diagram, spec)
     assert report.ok, report.violations
     return report, read_tree(spec.output_path)
+
+
+def iter_subsets(model: FeatureModel) -> Iterator[Configuration]:
+    """All subsets of the model's features, in lexicographic id order: the
+    brute-force oracle for enumeration."""
+    ids = model.feature_ids()
+    for mask in range(1 << len(ids)):
+        yield Configuration(frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1))
 
 
 def read_tree(root) -> dict[str, bytes]:

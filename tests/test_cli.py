@@ -108,6 +108,16 @@ def test_enumerate_count_and_list():
     )
 
 
+def test_enumerate_counts_past_the_listing_bound(tmp_path):
+    leaves = " ".join(f"F{i}?" for i in range(30))
+    model = tmp_path / "wide.fml"
+    model.write_text(f"featuremodel Wide {{ Root! {{ {leaves} }} }}\n")
+    assert run("enumerate", "-m", str(model)) == (EXIT_OK, f"{1 << 30}\n", "")
+    code, out, err = run("enumerate", "--list", "-m", str(model))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "usage error: model has 31 features, listing is bounded at 24\n"
+
+
 # ---------------------------------------------------------------------------
 # derive
 
@@ -282,7 +292,60 @@ def test_generate_incremental_leaves_reused_files_alone(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
 
 
-def test_generate_incremental_copies_where_links_fail(tmp_path, monkeypatch):
+def test_generate_leaves_identical_files_alone(tmp_path):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "-s", str(vsp))[0] == EXIT_OK
+    before = _file_stats(out_dir)
+
+    # A plain rerun still reports every artifact, but touches no file.
+    code, out, err = run("generate", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert "written: Person.oo, PersonBuilder.oo, Receipt.oo, ReceiptBuilder.oo, ShopFactory.oo\n" in out
+    assert _file_stats(out_dir) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+
+    # After an edit only the files whose bytes changed are new.
+    write_variant(tmp_path, cdl=EDITED_CDL)
+    assert run("generate", "-s", str(vsp))[0] == EXIT_OK
+    after = _file_stats(out_dir)
+    assert sorted(after) == sorted(before)
+    new = {path for path in after if after[path][0] != before[path][0]}
+    assert new == {"Person.oo", "PersonBuilder.oo", "trace.map"}
+    for path in after.keys() - new:
+        assert after[path] == before[path], path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+
+
+@pytest.mark.parametrize("damage", ["same-size edit", "symlink"])
+@pytest.mark.parametrize("rerun", [("--incremental",), ()], ids=["incremental", "plain"])
+def test_generate_rewrites_a_file_that_is_not_the_same_regular_file(tmp_path, rerun, damage):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", *rerun, "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(out_dir)
+    before = _file_stats(out_dir)
+    person = out_dir / "Person.oo"
+    elsewhere = tmp_path / "Person.copy"
+    if damage == "same-size edit":
+        person.write_bytes(cold["Person.oo"].replace(b"class", b"CLASS", 1))
+    else:  # the same bytes, but through a symlink
+        person.rename(elsewhere)
+        person.symlink_to(elsewhere)
+    code, out, err = run("generate", *rerun, "-s", str(vsp))
+    assert code == EXIT_OK, err
+    if rerun:
+        assert "written: Person.oo\n" in out
+    assert read_tree(out_dir) == cold
+    assert not person.is_symlink()
+    after = _file_stats(out_dir)
+    assert after["Person.oo"][0] != before["Person.oo"][0]  # also not a link to the symlink's target
+    for path in before.keys() - {"Person.oo", "gencache.map"}:
+        assert after[path] == before[path], path
+
+
+@pytest.mark.parametrize("rerun", [("--incremental",), ()], ids=["incremental", "plain"])
+def test_generate_copies_where_links_fail(tmp_path, monkeypatch, rerun):
     """Reused artifacts are copied when the filesystem refuses a hard link,
     with the same outputs, trace map, cache map and report."""
     refused = []
@@ -300,11 +363,11 @@ def test_generate_incremental_copies_where_links_fail(tmp_path, monkeypatch):
         runs = []
         for cdl in (SHOP_CDL, EDITED_CDL, EDITED_CDL):  # cold, edit, no change
             vsp = write_variant(root, cdl=cdl)
-            code, out, err = run("generate", "--incremental", "-s", str(vsp))
+            code, out, err = run("generate", *rerun, "-s", str(vsp))
             assert code == EXIT_OK, err
             runs.append((out.replace(str(root), "<root>"), read_tree(root / "out")))
         results[name] = runs
-    assert len(refused) == 3  # the edit run reused three artifacts
+    assert len(refused) == 3  # the edit run reused three artifacts, the last run none
     assert results["copy"] == results["link"]
 
 
@@ -342,6 +405,8 @@ def test_generate_recovers_a_swap_cut_off_between_its_renames(tmp_path, monkeypa
             raise KeyboardInterrupt
         return real_rename(self, target)
 
+    # The interrupted run has changed bytes to write, so it must swap.
+    write_variant(tmp_path, cdl=EDITED_CDL)
     monkeypatch.setattr(Path, "rename", rename)
     with pytest.raises(KeyboardInterrupt):
         run("generate", "-s", str(vsp))
@@ -349,16 +414,16 @@ def test_generate_recovers_a_swap_cut_off_between_its_renames(tmp_path, monkeypa
     left = sorted(p.name.split("-")[0] for p in tmp_path.iterdir())
     assert left == [".out.old", ".out.stage", "demo.vsp", "shop.cdl"]
 
+    write_variant(tmp_path, cdl=SHOP_CDL)
     code, out, err = run("generate", *rerun, "-s", str(vsp))
     assert code == EXIT_OK, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
     if rerun:
         # The old output and its cache map are back, so everything is reused.
         assert "written: none\n" in out
-        assert read_tree(tmp_path / "out") == cold
-    else:
-        del cold["gencache.map"]  # only --incremental writes it
-        assert read_tree(tmp_path / "out") == cold
+    # The recovered output already holds these bytes, so even a plain run
+    # leaves it, cache map included.
+    assert read_tree(tmp_path / "out") == cold
 
 
 def test_generate_incremental_cache_that_is_not_a_directory(tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genline.components import (
     Behavior,
@@ -187,16 +189,36 @@ def test_schedule_filters_by_applicability():
     assert "declare_classes" in names
 
 
-def test_schedule_is_deterministic_across_orders():
-    spec = make_spec(ALL_FEATURES, "out")
-    baseline = _schedule(compose_reference(ALL_FEATURES), spec)
-    components = list(reference_components())
-    rng = random.Random(99)
-    for _ in range(5):
-        shuffled = components[:]
-        rng.shuffle(shuffled)
-        again = _schedule(compose_all(shuffled), spec)
-        assert again == baseline
+@st.composite
+def _composition_trees(draw):
+    """A subset of the reference components in some order, and one binary
+    ``compose`` tree over that order."""
+    components = reference_components()
+    picked = draw(st.lists(st.sampled_from(range(len(components))), min_size=1, unique=True))
+    members = [components[i] for i in picked]
+
+    def tree(parts):
+        if len(parts) == 1:
+            return parts[0]
+        cut = draw(st.integers(1, len(parts) - 1))
+        return compose(tree(parts[:cut]), tree(parts[cut:]))
+
+    return members, tree(members) if len(members) > 1 else compose_all(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _composition_trees(),
+    st.sets(st.sampled_from(ALL_FEATURES)),
+    st.sampled_from(("generation_time", "run_time", "hybrid")),
+)
+def test_schedule_is_deterministic_across_orders(trees, selected, mode):
+    members, composed = trees
+    canonical = compose_all(sorted(members, key=lambda c: c.id))
+    assert composed.components == canonical.components
+    assert composed.full_schedule == canonical.full_schedule
+    spec = make_spec(selected, "out", mode=mode)
+    assert _schedule(composed, spec) == _schedule(canonical, spec)
 
 
 def test_behavior_lookup():

@@ -24,7 +24,6 @@ from genline.featuremodel import (
     FmlSyntaxError,
     enumerate_configurations,
     format_feature_model,
-    iter_subsets,
     model_formula,
     parse_feature_model,
     validate_configuration,
@@ -32,7 +31,7 @@ from genline.featuremodel import (
 from genline.formula import evaluate
 from genline.reference import REFERENCE_FML, reference_feature_model
 
-from helpers import ALL_FEATURES
+from helpers import ALL_FEATURES, iter_subsets
 
 
 def _valid_by_hand(selected: frozenset[str]) -> bool:
@@ -135,10 +134,12 @@ def test_iter_subsets_is_exhaustive():
 
 
 def test_enumeration_bound():
-    ids = " ".join(f"F{i}?" for i in range(25))
+    """Only a list is bounded; a count comes from the BDD at any size."""
+    ids = " ".join(f"F{i}?" for i in range(40))
     model = parse_feature_model(f"featuremodel Big {{ Root! {{ {ids} }} }}")
-    with pytest.raises(FeatureModelError):
-        enumerate_configurations(model)
+    assert enumerate_configurations(model) == (1 << 40, None)
+    with pytest.raises(FeatureModelError, match="listing is bounded at 24"):
+        enumerate_configurations(model, limit=1)
 
 
 def test_validate_reports_each_rule():

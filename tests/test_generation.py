@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genline.classdiagram import ClassDiagram, parse_class_diagram
@@ -18,6 +19,7 @@ from genline.generation import (
     GEN_EMIT,
     GEN_HOOK,
     GEN_SYNTAX,
+    TRACE_FILE,
     ArtifactContainer,
     Blackboard,
     BlackboardError,
@@ -25,6 +27,7 @@ from genline.generation import (
     EngineError,
     Fact,
     GenCache,
+    GenerationIOError,
     TraceIndex,
     TraceRegion,
     claim_artifact,
@@ -279,12 +282,14 @@ def test_trace_from_text_skips_malformed_lines():
 
 def test_trace_query_kinds():
     trace = TraceIndex({"X": [TraceRegion(1, 1, ("X", "Y"), "C")]})
-    auto = trace_query(trace, "X")
-    assert auto.kind == "artifact"  # artifact match wins over the feature X
+    as_artifact = trace_query(trace, "X", kind="artifact")
+    assert as_artifact.kind == "artifact"
+    assert as_artifact.artifact_regions == (TraceRegion(1, 1, ("X", "Y"), "C"),)
     as_feature = trace_query(trace, "X", kind="feature")
     assert as_feature.kind == "feature"
     assert as_feature.feature_ranges == (("X", (1, 1)),)
-    assert trace_query(trace, "Nope").kind == "unknown"
+    assert trace_query(trace, "Y", kind="artifact").kind == "unknown"
+    assert trace_query(trace, "Nope", kind="feature").kind == "unknown"
     with pytest.raises(ValueError, match="unknown query kind"):
         trace_query(trace, "X", kind="module")
 
@@ -918,3 +923,120 @@ def test_incremental_equals_cold_over_edit_scripts(edits):
             assert report.ok, report.violations
             assert generate(composed, diagram, spec(cold_dir)).ok
             assert read_tree(warm_dir) == read_tree(cold_dir), edit
+
+
+# ---------------------------------------------------------------------------
+# Early cutoff: only changed bytes are written
+
+_SMALL_FILES = (
+    "Person.oo",
+    "PersonBuilder.oo",
+    "Receipt.oo",
+    "ReceiptBuilder.oo",
+    "ShopFactory.oo",
+    "trace.map",
+)
+
+_DAMAGE = st.one_of(
+    st.tuples(st.just("delete"), st.sampled_from(_SMALL_FILES)),
+    st.tuples(
+        st.just("mutate"), st.sampled_from(_SMALL_FILES), st.integers(0, 4096), st.integers(1, 255)
+    ),
+    st.tuples(st.just("append"), st.sampled_from(_SMALL_FILES), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("stray"), st.sampled_from(("notes.txt", ".hidden", "p/q.oo"))),
+    st.tuples(st.just("empty dir"), st.sampled_from(("p", "Receipt.oo", "Person.oo.d"))),
+    st.tuples(st.just("symlink"), st.sampled_from(_SMALL_FILES)),
+)
+
+
+def _damage(out: Path, outside: Path, damage: tuple) -> bool:
+    """Apply one damage to an output directory; False if it does not apply."""
+    kind, target = damage[0], out / damage[1]
+    if kind in ("stray", "empty dir"):
+        if target.exists() or target.is_symlink():
+            return False
+        if kind == "stray":
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(b"stray\n")
+        else:
+            target.mkdir(parents=True)
+        return True
+    if target.is_symlink() or not target.is_file():
+        return False
+    if kind == "delete":
+        target.unlink()
+    elif kind == "mutate":
+        data = bytearray(target.read_bytes())
+        data[damage[2] % len(data)] ^= damage[3]
+        target.write_bytes(bytes(data))
+    elif kind == "append":
+        with target.open("ab") as f:
+            f.write(damage[2])
+    else:  # the same bytes, reached through a symlink
+        copy = outside / damage[1]
+        target.rename(copy)
+        target.symlink_to(copy)
+    return True
+
+
+def _shape(root: Path) -> dict[str, object]:
+    """Every entry under root: a file's bytes, "dir", or "symlink"."""
+    shape: dict[str, object] = {}
+    for folder, dirs, names in os.walk(root):
+        for name in dirs + names:
+            path = Path(folder, name)
+            rel = path.relative_to(root).as_posix()
+            if path.is_symlink():
+                shape[rel] = "symlink"
+            else:
+                shape[rel] = "dir" if path.is_dir() else path.read_bytes()
+    return shape
+
+
+@pytest.mark.parametrize("incremental", [False, True], ids=["plain", "incremental"])
+@settings(max_examples=30, deadline=None)
+@given(damages=st.lists(_DAMAGE, min_size=1, max_size=4))
+# One byte of "Person.oo:1-4 Types Class" changed in its path, span, component and feature.
+@example(damages=[("mutate", "trace.map", 0, 1)])
+@example(damages=[("mutate", "trace.map", 12, 1)])
+@example(damages=[("mutate", "trace.map", 14, 1)])
+@example(damages=[("mutate", "trace.map", 20, 1)])
+def test_generate_over_a_damaged_output_yields_the_cold_tree(incremental, damages):
+    """Damage is repaired, and every file it left alone keeps its inode and mtime.
+
+    Without its trace map, a directory holding a stray file is not genline's
+    and is refused as it stands.
+    """
+    composed, diagram = compose_reference(FULL_GEN), _small_diagram()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        out, outside = root / "out", root / "outside"
+        outside.mkdir()
+        assert generate(composed, diagram, make_spec(FULL_GEN, root / "cold")).ok
+        spec = make_spec(FULL_GEN, out)
+        if incremental:
+            _, cache = incremental_generate(composed, diagram, spec, GenCache())
+        else:
+            assert generate(composed, diagram, spec).ok
+        before = {name: (out / name).stat() for name in _SMALL_FILES}
+        applied = [damage[:2] for damage in damages if _damage(out, outside, damage)]
+        damaged = {name for _, name in applied}
+
+        def rerun():
+            if incremental:
+                return incremental_generate(composed, diagram, spec, cache)[0]
+            return generate(composed, diagram, spec)
+
+        if ("delete", TRACE_FILE) in applied and any(kind == "stray" for kind, _ in applied):
+            damaged_shape = _shape(out)
+            with pytest.raises(GenerationIOError, match="refusing to replace"):
+                rerun()
+            assert _shape(out) == damaged_shape
+            return
+        assert rerun().ok
+        assert _shape(out) == _shape(root / "cold")
+        assert sorted(p.name for p in root.iterdir()) == ["cold", "out", "outside"]
+        for name, old in before.items():
+            new = (out / name).stat()
+            if name not in damaged:
+                assert (new.st_ino, new.st_mtime_ns) == (old.st_ino, old.st_mtime_ns), name
