@@ -114,7 +114,7 @@ _PUNCTS = ("<<", ">>", "{", "}", "(", ")", ":", ";", ",")
 
 def parse_class_diagram(source: str) -> ClassDiagram:
     """Parse CDL text, preserving declaration order and source positions."""
-    ts = TokenStream(tokenize(source, _PUNCTS))
+    ts = TokenStream(tokenize(source, _PUNCTS), source)
     ts.expect_keyword("classdiagram")
     name_tok = ts.expect_name("diagram name", _RESERVED)
     ts.expect_punct("{")
@@ -124,7 +124,7 @@ def parse_class_diagram(source: str) -> ClassDiagram:
     ts.expect_punct("}")
     if not ts.at_end():
         ts.error("unexpected trailing input")
-    return ClassDiagram(name_tok.value, tuple(types), name_tok.line, name_tok.column)
+    return ClassDiagram(name_tok.value, tuple(types), *ts.position(name_tok))
 
 
 def _parse_element(ts: TokenStream) -> TypeDecl:
@@ -165,20 +165,20 @@ def _parse_class(ts: TokenStream, tags: tuple[str, ...]) -> ClassDecl:
         if attr_name in seen:
             raise TextSyntaxError(
                 f"duplicate attribute {attr_name!r} in class {name_tok.value!r}",
-                attr_tok.line,
-                attr_tok.column,
+                *ts.position(attr_tok),
             )
         seen.add(attr_name)
-        attributes.append(Attribute(attr_name, type_name, attr_tok.line, attr_tok.column))
+        attributes.append(Attribute(attr_name, type_name, *ts.position(attr_tok)))
     ts.expect_punct("}")
+    line, column = ts.position(name_tok)
     return ClassDecl(
         name=name_tok.value,
         tags=tags,
         superclass=superclass,
         interfaces=tuple(interfaces),
         attributes=tuple(attributes),
-        line=name_tok.line,
-        column=name_tok.column,
+        line=line,
+        column=column,
     )
 
 
@@ -193,13 +193,14 @@ def _parse_interface(ts: TokenStream) -> InterfaceDecl:
         ts.expect_punct(":")
         return_type = ts.expect_ident("type name").value
         ts.expect_punct(";")
-        operations.append(Operation(op_tok.value, return_type, op_tok.line, op_tok.column))
+        operations.append(Operation(op_tok.value, return_type, *ts.position(op_tok)))
     ts.expect_punct("}")
+    line, column = ts.position(name_tok)
     return InterfaceDecl(
         name=name_tok.value,
         operations=tuple(operations),
-        line=name_tok.line,
-        column=name_tok.column,
+        line=line,
+        column=column,
     )
 
 
@@ -213,18 +214,18 @@ def _parse_enum(ts: TokenStream) -> EnumDecl:
         if const_tok.value in seen:
             raise TextSyntaxError(
                 f"duplicate enum constant {const_tok.value!r} in {name_tok.value!r}",
-                const_tok.line,
-                const_tok.column,
+                *ts.position(const_tok),
             )
         seen.add(const_tok.value)
         tokens.append(const_tok)
     ts.expect_punct("}")
+    line, column = ts.position(name_tok)
     return EnumDecl(
         name=name_tok.value,
         constants=tuple(tok.value for tok in tokens),
-        line=name_tok.line,
-        column=name_tok.column,
-        constant_positions=tuple((tok.line, tok.column) for tok in tokens),
+        line=line,
+        column=column,
+        constant_positions=tuple(map(ts.position, tokens)),
     )
 
 

@@ -112,7 +112,7 @@ class _Node:
 
 def parse_feature_model(source: str) -> FeatureModel:
     """Parse FML text into a validated FeatureModel."""
-    ts = TokenStream(tokenize(source, _PUNCTS))
+    ts = TokenStream(tokenize(source, _PUNCTS), source)
     ts.expect_keyword("featuremodel")
     name = ts.expect_ident("model name").value
     ts.expect_punct("{")
@@ -129,7 +129,7 @@ def parse_feature_model(source: str) -> FeatureModel:
             rhs = ts.expect_ident("feature id")
             ts.expect_punct(";")
             constraints.append(
-                (CrossTreeConstraint(kind.value, lhs.value, rhs.value), lhs.line, lhs.column)
+                (CrossTreeConstraint(kind.value, lhs.value, rhs.value), *ts.position(lhs))
             )
         ts.expect_punct("}")
     if not ts.at_end():
@@ -147,7 +147,8 @@ def _parse_node(ts: TokenStream, depth: int) -> _Node:
         variability = OPTIONAL
     else:
         ts.error("expected '!' or '?' after feature id")
-    node = _Node(name_tok.value, variability, line=name_tok.line, column=name_tok.column)
+    line, column = ts.position(name_tok)
+    node = _Node(name_tok.value, variability, line=line, column=column)
     if ts.accept_punct("{"):
         while not ts.at_punct("}"):
             if ts.at_ident("xor") or ts.at_ident("or"):
@@ -157,7 +158,7 @@ def _parse_node(ts: TokenStream, depth: int) -> _Node:
                 while ts.accept_punct(","):
                     members.append(ts.expect_ident("group member").value)
                 ts.expect_punct("}")
-                node.groups.append((kind_tok.value, tuple(members), kind_tok.line, kind_tok.column))
+                node.groups.append((kind_tok.value, tuple(members), *ts.position(kind_tok)))
             else:
                 node.children.append(_parse_node(ts, depth + 1))
         ts.expect_punct("}")

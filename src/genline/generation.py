@@ -21,7 +21,7 @@ import shutil
 import stat
 import tempfile
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -193,7 +193,7 @@ class ArtifactContainer:
         end = start + text.count("\n") - 1
         self._content += text
         if self.regions and self.regions[-1].features == feats:
-            self.regions[-1] = replace(self.regions[-1], end=end)
+            self.regions[-1] = TraceRegion(self.regions[-1].start, end, feats, self.component)
         else:
             self.regions.append(TraceRegion(start, end, feats, self.component))
 

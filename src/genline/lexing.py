@@ -2,15 +2,19 @@
 
 Feature models, class diagrams, variant specs and the generated target
 language share one lexical shape. ``tokenize`` reads it with one master
-regular expression whose named groups are tried in this order:
+regular expression. Each match first skips, possessively, any run of blanks,
+tabs, carriage returns, newlines and ``//`` comments (to the end of the
+line), then reads one token from these named groups, tried in this order:
 
-- ``newline``: ends a line; columns count characters from 1 after it;
-- ``space``: a run of blanks, tabs and carriage returns;
-- ``comment``: ``//`` to the end of the line;
 - ``punct``: one of the format's punctuation tokens, longest first, so ``<<``
   is read before ``<``;
 - ``ident``: an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``;
-- anything else is an ``unexpected character``.
+- ``other``: any other character, which is an ``unexpected character``.
+
+A token carries its start offset in the source, not a line and column.
+``TokenStream.position`` computes those on demand, for an error or a
+declaration a parser records: lines are ended by ``\\n``, and columns count
+characters from 1 after it, so a tab or a ``\\r`` is one column.
 
 Variant specs (``vsp=True``) add two token kinds. A ``string`` is
 double-quoted text in which a backslash escapes any next character; a raw
@@ -23,7 +27,8 @@ or comment to the next ``;``, and is stripped of surrounding whitespace.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from bisect import bisect_right
+from functools import lru_cache, partial
 from typing import NamedTuple, NoReturn
 
 # Deepest nesting the recursive-descent parsers follow; deeper input is a
@@ -34,6 +39,7 @@ MAX_NESTING = 100
 _PATH_KEYS = ("model", "out")
 
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_NEWLINE = re.compile(r"\n")
 
 
 class TextSyntaxError(Exception):
@@ -49,67 +55,91 @@ class TextSyntaxError(Exception):
 class Token(NamedTuple):
     kind: str  # "ident" | "punct" | "string" | "path" | "eof"
     value: str
-    line: int
-    column: int
+    start: int  # offset in the source
+
+
+# Builds a Token from a (kind, value, start) tuple with no Python-level call,
+# so the tokenizer's cost stays in C.
+_as_token = partial(tuple.__new__, Token)
 
 
 @lru_cache(maxsize=None)
 def _master(puncts: tuple[str, ...], vsp: bool) -> re.Pattern[str]:
     longest_first = sorted(puncts, key=len, reverse=True)
     groups = [
-        ("newline", r"\n"),
-        ("space", r"[ \t\r]+"),
-        ("comment", r"//[^\n]*"),
         ("string", r'"(?:[^"\\\n]|\\[\s\S])*"' if vsp else r"(?!)"),
         ("punct", "|".join(map(re.escape, longest_first)) or r"(?!)"),
         ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
-        ("other", r"[\s\S]"),
+        ("other", r"[^ \t\r\n]"),
     ]
-    return re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in groups))
+    # The token is optional, so blanks at the end of the source are one match
+    # (with no group) rather than a failed match retried at every offset.
+    token = "|".join(f"(?P<{name}>{rx})" for name, rx in groups)
+    return re.compile(rf"(?:[ \t\r\n]+|//[^\n]*)*+(?:{token})?")
 
 
 def tokenize(source: str, puncts: tuple[str, ...], *, vsp: bool = False) -> list[Token]:
     """Split source into tokens, ending with one ``eof`` token."""
-    match = _master(puncts, vsp).match
+    if vsp:
+        return _tokenize_vsp(source, puncts)
+    # Only the last match or two, over trailing blanks, has no token.
+    found = [
+        (kind, m[kind], m.start(kind))
+        for m in _master(puncts, False).finditer(source)
+        if (kind := m.lastgroup)
+    ]
+    for kind, value, start in found:
+        if kind == "other":
+            raise TextSyntaxError(f"unexpected character {value!r}", *_position(source, start))
+    return [*map(_as_token, found), Token("eof", "", len(source))]
+
+
+def _tokenize_vsp(source: str, puncts: tuple[str, ...]) -> list[Token]:
+    """The variant-spec tokenizer: strings, and a path after ``model:``/``out:``."""
+    match = _master(puncts, True).match
     tokens: list[Token] = []
-    line, line_start, pos, end = 1, 0, 0, len(source)
+    pos = 0
     path_next = False
-    while pos < end:
+    while True:
         m = match(source, pos)
         kind = m.lastgroup
-        stop = m.end()
-        if kind == "newline":
-            line += 1
-            line_start = stop
-        elif kind != "space" and kind != "comment":
-            column = pos - line_start + 1
-            value = m.group()
-            if path_next and value[0] != '"':
-                kind, stop = "path", source.find(";", pos)
-                if stop < 0:
-                    raise TextSyntaxError("expected path ending with ';'", line, column)
-                value = source[pos:stop].strip()
-                if not value or "\n" in value:
-                    raise TextSyntaxError("expected path before ';'", line, column)
-            elif kind == "string":
-                value = _ESCAPE.sub(r"\1", value[1:-1])
-            elif kind == "other":
-                if vsp and value == '"':
-                    raise TextSyntaxError("unterminated string", line, column)
-                raise TextSyntaxError(f"unexpected character {value!r}", line, column)
-            path_next = (
-                vsp and kind == "punct" and value == ":" and len(tokens) > 0
-                and tokens[-1].kind == "ident" and tokens[-1].value in _PATH_KEYS
-            )
-            tokens.append(Token(kind, value, line, column))
-            if kind == "string" or kind == "path":  # escaped or trailing newlines
-                last = source.rfind("\n", pos, stop)
-                if last >= 0:
-                    line += source.count("\n", pos, stop)
-                    line_start = last + 1
-        pos = stop
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+        if kind is None:  # only blanks and comments were left
+            break
+        start, pos = m.span(kind)
+        value = m[kind]
+        if path_next and value[0] != '"':
+            kind, pos = "path", source.find(";", start)
+            if pos < 0:
+                raise TextSyntaxError("expected path ending with ';'", *_position(source, start))
+            value = source[start:pos].strip()
+            if not value or "\n" in value:
+                raise TextSyntaxError("expected path before ';'", *_position(source, start))
+        elif kind == "string":
+            value = _ESCAPE.sub(r"\1", value[1:-1])
+        elif kind == "other":
+            message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
+            raise TextSyntaxError(message, *_position(source, start))
+        path_next = (
+            kind == "punct" and value == ":" and len(tokens) > 0
+            and tokens[-1].kind == "ident" and tokens[-1].value in _PATH_KEYS
+        )
+        tokens.append(Token(kind, value, start))
+    tokens.append(Token("eof", "", len(source)))
     return tokens
+
+
+def _newlines(source: str) -> list[int]:
+    return [m.start() for m in _NEWLINE.finditer(source)]
+
+
+def _line_column(newlines: list[int], offset: int) -> tuple[int, int]:
+    """(line, column) of an offset, from the sorted offsets of the newlines."""
+    line = bisect_right(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] if line else -1)
+
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    return _line_column(_newlines(source), offset)
 
 
 def describe(tok: Token) -> str:
@@ -118,11 +148,23 @@ def describe(tok: Token) -> str:
 
 
 class TokenStream:
-    """Cursor over a token list with expect/accept helpers."""
+    """Cursor over a token list with expect/accept helpers.
 
-    def __init__(self, tokens: list[Token]):
+    Positions are computed from the source only when asked for: by an error,
+    or by ``position`` for a declaration a parser records.
+    """
+
+    def __init__(self, tokens: list[Token], source: str):
         self._tokens = tokens
         self._pos = 0
+        self._source = source
+        self._newlines: list[int] | None = None
+
+    def position(self, tok: Token) -> tuple[int, int]:
+        """The (line, column) at which a token starts."""
+        if self._newlines is None:
+            self._newlines = _newlines(self._source)
+        return _line_column(self._newlines, tok.start)
 
     def peek(self) -> Token:
         return self._tokens[self._pos]
@@ -134,47 +176,64 @@ class TokenStream:
         return tok
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return self._tokens[self._pos].kind == "eof"
 
     def at_punct(self, value: str) -> bool:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         return tok.kind == "punct" and tok.value == value
 
     def at_ident(self, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         return tok.kind == "ident" and (value is None or tok.value == value)
 
     def accept_punct(self, value: str) -> Token | None:
-        return self.next() if self.at_punct(value) else None
+        tok = self._tokens[self._pos]
+        if tok.kind == "punct" and tok.value == value:
+            self._pos += 1
+            return tok
+        return None
 
     def accept_ident(self, value: str | None = None) -> Token | None:
-        return self.next() if self.at_ident(value) else None
+        tok = self._tokens[self._pos]
+        if tok.kind == "ident" and (value is None or tok.value == value):
+            self._pos += 1
+            return tok
+        return None
 
     def expect_punct(self, value: str) -> Token:
-        if not self.at_punct(value):
+        tok = self._tokens[self._pos]
+        if tok.kind != "punct" or tok.value != value:
             self.expected(repr(value))
-        return self.next()
+        self._pos += 1
+        return tok
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        if self.peek().kind != "ident":
+        tok = self._tokens[self._pos]
+        if tok.kind != "ident":
             self.expected(what)
-        return self.next()
+        self._pos += 1
+        return tok
 
     def expect_name(self, what: str, reserved: frozenset[str]) -> Token:
         """Expect an identifier that is not one of the reserved words."""
-        tok = self.expect_ident(what)
+        tok = self._tokens[self._pos]
+        if tok.kind != "ident":
+            self.expected(what)
         if tok.value in reserved:
-            raise TextSyntaxError(f"expected {what}, found keyword {tok.value!r}", tok.line, tok.column)
+            message = f"expected {what}, found keyword {tok.value!r}"
+            raise TextSyntaxError(message, *self.position(tok))
+        self._pos += 1
         return tok
 
     def expect_keyword(self, value: str) -> Token:
-        if not self.at_ident(value):
+        tok = self._tokens[self._pos]
+        if tok.kind != "ident" or tok.value != value:
             self.expected(repr(value))
-        return self.next()
+        self._pos += 1
+        return tok
 
     def expected(self, what: str) -> NoReturn:
-        self.error(f"expected {what}, found {describe(self.peek())}")
+        self.error(f"expected {what}, found {describe(self._tokens[self._pos])}")
 
     def error(self, message: str) -> NoReturn:
-        tok = self.peek()
-        raise TextSyntaxError(message, tok.line, tok.column)
+        raise TextSyntaxError(message, *self.position(self._tokens[self._pos]))

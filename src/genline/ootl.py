@@ -38,7 +38,7 @@ KEYWORDS = frozenset(
 def check_unit(text: str) -> TextSyntaxError | None:
     """Return None when the text is a valid unit, else its first syntax error."""
     try:
-        ts = TokenStream(tokenize(text, _PUNCTS))
+        ts = TokenStream(tokenize(text, _PUNCTS), text)
         _unit(ts)
     except TextSyntaxError as exc:
         return exc

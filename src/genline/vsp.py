@@ -31,7 +31,7 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 def parse_variant_spec(source: str, base_dir: str | None = None) -> VariantSpec:
     """Parse VSP text; with base_dir, resolve relative model and out paths."""
-    ts = TokenStream(tokenize(source, _PUNCTS, vsp=True))
+    ts = TokenStream(tokenize(source, _PUNCTS, vsp=True), source)
     ts.expect_keyword("variant")
     name = ts.expect_ident("variant name").value
     ts.expect_punct("{")
@@ -48,9 +48,8 @@ def parse_variant_spec(source: str, base_dir: str | None = None) -> VariantSpec:
     _key(ts, "mode")
     mode = ts.expect_ident("binding mode")
     if mode.value not in BINDING_MODES:
-        raise VspSyntaxError(
-            f"unknown binding mode {mode.value!r}", mode.line, mode.column + len(mode.value)
-        )
+        line, column = ts.position(mode)
+        raise VspSyntaxError(f"unknown binding mode {mode.value!r}", line, column + len(mode.value))
     ts.expect_punct(";")
     out_path = _path(ts, "out", "output path")
     ts.expect_punct("}")
@@ -105,7 +104,8 @@ def _bindings(ts: TokenStream, keyword: str, what: str, quoted_only: bool) -> di
             value = {"true": True, "false": False}.get(word, word)
         end = ts.expect_punct(";")
         if key in bound:
-            raise VspSyntaxError(f"{what} {key!r} bound twice", end.line, end.column + 1)
+            line, column = ts.position(end)
+            raise VspSyntaxError(f"{what} {key!r} bound twice", line, column + 1)
         bound[key] = value
     return bound
 

@@ -1,8 +1,9 @@
 """Shared fixtures-in-spirit: covering input model, variant plumbing, dir diffing,
-and the subset walk that enumeration is checked against."""
+and the oracles that enumeration and the tokenizer are checked against."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
@@ -23,6 +24,7 @@ from genline import (
 )
 from genline.components import build_registry
 from genline.composition import ComposedGenerator
+from genline.lexing import TextSyntaxError
 
 ALL_FEATURES = (
     "CD2Java",
@@ -147,3 +149,60 @@ def read_tree(root) -> dict[str, bytes]:
 def artifact_map(root) -> dict[str, bytes]:
     """Like read_tree but only the generated target-language artifacts."""
     return {path: data for path, data in read_tree(root).items() if path.endswith(".oo")}
+
+
+def reference_tokenize(source: str, puncts: tuple[str, ...], vsp: bool = False) -> list[tuple]:
+    """The tokenizer loop that tracks line and column as it goes: the oracle
+    for ``genline.lexing.tokenize`` and its positions on demand. Returns
+    (kind, value, line, column) tuples, ending with ``eof``, or raises the
+    same ``TextSyntaxError``."""
+    longest_first = sorted(puncts, key=len, reverse=True)
+    groups = [
+        ("newline", r"\n"),
+        ("space", r"[ \t\r]+"),
+        ("comment", r"//[^\n]*"),
+        ("string", r'"(?:[^"\\\n]|\\[\s\S])*"' if vsp else r"(?!)"),
+        ("punct", "|".join(map(re.escape, longest_first)) or r"(?!)"),
+        ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+        ("other", r"[\s\S]"),
+    ]
+    match = re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in groups)).match
+    tokens: list[tuple] = []
+    line, line_start, pos, end = 1, 0, 0, len(source)
+    path_next = False
+    while pos < end:
+        m = match(source, pos)
+        kind = m.lastgroup
+        stop = m.end()
+        if kind == "newline":
+            line += 1
+            line_start = stop
+        elif kind != "space" and kind != "comment":
+            column = pos - line_start + 1
+            value = m.group()
+            if path_next and value[0] != '"':
+                kind, stop = "path", source.find(";", pos)
+                if stop < 0:
+                    raise TextSyntaxError("expected path ending with ';'", line, column)
+                value = source[pos:stop].strip()
+                if not value or "\n" in value:
+                    raise TextSyntaxError("expected path before ';'", line, column)
+            elif kind == "string":
+                value = re.sub(r"\\(.)", r"\1", value[1:-1], flags=re.DOTALL)
+            elif kind == "other":
+                if vsp and value == '"':
+                    raise TextSyntaxError("unterminated string", line, column)
+                raise TextSyntaxError(f"unexpected character {value!r}", line, column)
+            path_next = (
+                vsp and kind == "punct" and value == ":" and len(tokens) > 0
+                and tokens[-1][0] == "ident" and tokens[-1][1] in ("model", "out")
+            )
+            tokens.append((kind, value, line, column))
+            if kind == "string" or kind == "path":  # escaped or trailing newlines
+                last = source.rfind("\n", pos, stop)
+                if last >= 0:
+                    line += source.count("\n", pos, stop)
+                    line_start = last + 1
+        pos = stop
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens

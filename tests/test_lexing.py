@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genline import classdiagram, featuremodel, ootl, vsp
 from genline.classdiagram import parse_class_diagram
 from genline.featuremodel import parse_feature_model
-from genline.lexing import TextSyntaxError, tokenize
+from genline.lexing import TextSyntaxError, TokenStream, tokenize
 from genline.ootl import check_unit
 from genline.vsp import parse_variant_spec
+
+from helpers import reference_tokenize
 
 # (source, puncts, vsp, tokens as (kind, value, line, column) or the error
 # as (message, line, column))
@@ -66,11 +69,18 @@ CASES = {
 @pytest.mark.parametrize("source, puncts, vsp, expected", CASES.values(), ids=CASES.keys())
 def test_tokenize(source, puncts, vsp, expected):
     if isinstance(expected, list):
-        assert tokenize(source, puncts, vsp=vsp) == expected
+        assert _positioned(source, puncts, vsp) == expected
     else:
         with pytest.raises(TextSyntaxError) as err:
             tokenize(source, puncts, vsp=vsp)
         assert (err.value.message, err.value.line, err.value.column) == expected
+
+
+def _positioned(source, puncts, vsp):
+    """Tokens as (kind, value, line, column), positions through the stream."""
+    tokens = tokenize(source, puncts, vsp=vsp)
+    stream = TokenStream(tokens, source)
+    return [(tok.kind, tok.value, *stream.position(tok)) for tok in tokens]
 
 
 # Text that looks like the formats often enough to get past their first token.
@@ -98,3 +108,66 @@ def test_any_text_is_a_syntax_error_or_a_result(text):
             pass
     result = check_unit(text)
     assert result is None or isinstance(result, TextSyntaxError)
+
+
+# Every format's punctuation set, and variant specs' with their strings and paths.
+_LEXICONS = (
+    (ootl._PUNCTS, False),
+    (classdiagram._PUNCTS, False),
+    (featuremodel._PUNCTS, False),
+    (vsp._PUNCTS, True),
+)
+
+# Every lexical shape: each kind of blank and line end, comments, quotes and
+# escapes, the path keys, and every format's punctuation.
+_LEXICAL_TEXT = st.one_of(
+    _TEXT,
+    st.lists(
+        st.sampled_from([
+            "model", "out", "mode", "a", "_b9", "9", ":", ";", "<<", ">>", "<", ">", "{", "}",
+            "(", ")", "[", "]", "!", "?", ",", ".", "=", '"', "\\", '\\"', "/", "//",
+            " ", "\t", "\r", "\n", "\r\n", "é", "\x0c", "\u2028",
+        ]),
+        max_size=40,
+    ).map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_LEXICAL_TEXT)
+def test_positions_match_the_loop_that_tracks_them(text):
+    for puncts, is_vsp in _LEXICONS:
+        try:
+            expected = reference_tokenize(text, puncts, is_vsp)
+        except TextSyntaxError as err:
+            with pytest.raises(TextSyntaxError) as got:
+                tokenize(text, puncts, vsp=is_vsp)
+            assert (got.value.message, got.value.line, got.value.column) == (
+                err.message, err.line, err.column
+            )
+        else:
+            assert _positioned(text, puncts, is_vsp) == expected
+
+
+# About 1 MB of blanks, CRLF line ends and comment lines: 90,000 newlines,
+# then a last comment that ends the input on line 90,001 at column 7.
+_FILLER = " \t\r\n// a comment line\r\n" * 45_000 + "// end"
+
+
+def test_a_megabyte_of_trailing_blanks_and_comments_is_skipped_in_one_pass():
+    # A skip that backtracks, or restarts at every offset of the trailing run,
+    # would not finish on this input.
+    unit = "package p;\nclass C {\n  int x;\n}\n"
+    assert check_unit(unit + _FILLER) is None
+    err = check_unit(unit[:-2] + _FILLER)
+    assert (err.message, err.line, err.column) == (
+        "expected member type or constructor name, found end of input", 90_004, 7
+    )
+
+    diagram = "classdiagram D {\n  class C {\n    x: int;\n  }\n}\n"
+    assert [c.name for c in parse_class_diagram(diagram + _FILLER).classes()] == ["C"]
+    with pytest.raises(TextSyntaxError) as err:
+        parse_class_diagram(diagram[:-2] + _FILLER)
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "expected 'class', 'interface' or 'enum', found end of input", 90_005, 7
+    )
