@@ -2,9 +2,9 @@
 
 Feature models, class diagrams, variant specs and the generated target
 language share one lexical shape. ``tokenize`` reads it with one master
-regular expression. Each match first skips, possessively, any run of blanks,
-tabs, carriage returns, newlines and ``//`` comments (to the end of the
-line), then reads one token from these named groups, tried in this order:
+regular expression. Each match first skips any run of blanks, tabs, carriage
+returns, newlines and ``//`` comments (to the end of the line), then reads
+one token from these named groups, tried in this order:
 
 - ``punct``: one of the format's punctuation tokens, longest first, so ``<<``
   is read before ``<``;
@@ -72,26 +72,31 @@ def _master(puncts: tuple[str, ...], vsp: bool) -> re.Pattern[str]:
         ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
         ("other", r"[^ \t\r\n]"),
     ]
-    # The token is optional, so blanks at the end of the source are one match
-    # (with no group) rather than a failed match retried at every offset.
+    # The skip prefix reads blanks, then each comment with the blanks after it.
+    # The token is optional, so a match never fails and the prefix is never
+    # backtracked into, with no possessive quantifier (``re`` has none before
+    # Python 3.11); blanks at the end of the source are one match with no
+    # group, not a failed match retried at every offset.
     token = "|".join(f"(?P<{name}>{rx})" for name, rx in groups)
-    return re.compile(rf"(?:[ \t\r\n]+|//[^\n]*)*+(?:{token})?")
+    return re.compile(rf"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*(?:{token})?")
 
 
 def tokenize(source: str, puncts: tuple[str, ...], *, vsp: bool = False) -> list[Token]:
     """Split source into tokens, ending with one ``eof`` token."""
     if vsp:
         return _tokenize_vsp(source, puncts)
-    # Only the last match or two, over trailing blanks, has no token.
-    found = [
-        (kind, m[kind], m.start(kind))
+    # Only the last match or two, over trailing blanks, has no token. Each
+    # token is built as its match is read, so no second list of tuples is held.
+    tokens = [
+        _as_token((kind, m[kind], m.start(kind)))
         for m in _master(puncts, False).finditer(source)
         if (kind := m.lastgroup)
     ]
-    for kind, value, start in found:
+    for kind, value, start in tokens:
         if kind == "other":
             raise TextSyntaxError(f"unexpected character {value!r}", *_position(source, start))
-    return [*map(_as_token, found), Token("eof", "", len(source))]
+    tokens.append(Token("eof", "", len(source)))
+    return tokens
 
 
 def _tokenize_vsp(source: str, puncts: tuple[str, ...]) -> list[Token]:

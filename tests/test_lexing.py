@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from genline import classdiagram, featuremodel, ootl, vsp
 from genline.classdiagram import parse_class_diagram
 from genline.featuremodel import parse_feature_model
-from genline.lexing import TextSyntaxError, TokenStream, tokenize
+from genline.lexing import TextSyntaxError, TokenStream, _master, tokenize
 from genline.ootl import check_unit
 from genline.vsp import parse_variant_spec
 
@@ -171,3 +173,23 @@ def test_a_megabyte_of_trailing_blanks_and_comments_is_skipped_in_one_pass():
     assert (err.value.message, err.value.line, err.value.column) == (
         "expected 'class', 'interface' or 'enum', found end of input", 90_005, 7
     )
+
+
+def _opcodes(node):
+    if isinstance(node, re._parser.SubPattern):
+        for op, arg in node:
+            yield op
+            yield from _opcodes(arg)
+    elif isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _opcodes(item)
+
+
+@pytest.mark.skipif(not hasattr(re, "_parser"), reason="re._parser is Python 3.11+")
+def test_master_patterns_compile_on_python_3_10():
+    # Possessive quantifiers and atomic groups need Python 3.11; genline
+    # supports 3.10, where such a pattern fails to compile.
+    newer = {re._constants.POSSESSIVE_REPEAT, re._constants.ATOMIC_GROUP}
+    for puncts, is_vsp in _LEXICONS:
+        parsed = re._parser.parse(_master(puncts, is_vsp).pattern)
+        assert not newer & set(_opcodes(parsed))
