@@ -10,7 +10,8 @@ element, component, options, consumed facts) is unchanged, with outputs
 byte-identical to a cold run. Every run, incremental or not, writes only the
 files whose bytes changed: a cache hit, or a file already on disk with the
 same bytes, is hard-linked into the stage, never rewritten, and a run that
-changes nothing leaves the output directory alone.
+changes nothing leaves the output directory alone. The engine looks at that
+directory once per run: one resolved path and one scan serve every step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
-import stat
 import tempfile
 import uuid
 from dataclasses import dataclass
@@ -47,6 +47,7 @@ CORE_FEATURE = "core"
 
 TRACE_FILE = "trace.map"
 CACHE_FILE = "gencache.map"
+_DIR, _OTHER = -1, -2  # scan markers: a folder, and what is neither a folder nor a regular file
 
 
 class BlackboardError(RuntimeError):
@@ -144,16 +145,16 @@ class Blackboard:
 def claim_artifact(board: Blackboard, path: str, component: str) -> None:
     """Record that ``component`` will write ``path``; idempotent per pair.
 
-    Raises EngineError if the path is absolute, climbs out with "..", or names
-    one of the engine's own files, and ClaimConflictError naming both
-    components if the path is already claimed by someone else. Publishes an
-    artifact.claimed fact.
+    Raises EngineError if the path is absolute, climbs out with "..", is not in
+    normal form (``./A.oo``, ``p//q.oo``, ``.``) or names one of the engine's own
+    files, and ClaimConflictError naming both components if the path is already
+    claimed by someone else. Publishes an artifact.claimed fact.
     """
     pure = PurePosixPath(path)
-    if pure.is_absolute() or ".." in pure.parts or str(pure) in (TRACE_FILE, CACHE_FILE):
+    if str(pure) != path or pure.is_absolute() or ".." in pure.parts or path in (".", TRACE_FILE, CACHE_FILE):
         raise EngineError(
             f"component {component!r} claims {path!r}: an artifact path must be relative, "
-            f"without '..', and not {TRACE_FILE!r} or {CACHE_FILE!r}"
+            f"in normal form, without '..', and not {TRACE_FILE!r} or {CACHE_FILE!r}"
         )
     holder = board.claims.get(path)
     if holder is not None:
@@ -501,40 +502,38 @@ def _cache_key(
 
 
 def _lookup_cache(
-    cache: GenCache, composed: ComposedGenerator, ctx: GenContext, out_dir: Path
-) -> tuple[dict[str, str], dict[str, tuple[str, tuple[TraceRegion, ...]]], bytes | None]:
+    cache: GenCache, composed: ComposedGenerator, ctx: GenContext,
+    out: str, snapshot: Mapping[str, int], old_trace: bytes | None,
+) -> tuple[dict[str, str], dict[str, tuple[str, tuple[TraceRegion, ...]]]]:
     """Key every claim, and find the claims whose previous output is reusable.
 
-    A claim is a hit when its key matches the cache entry, the file on disk
-    is a regular file that still has the recorded content digest, and the
-    previous trace could be the one written with it (see ``_traces``).
-    Returns the keys, per hit its content digest and trace regions, and the
-    previous trace map's bytes (None when there is none).
+    A claim is a hit when its key matches the cache entry, the snapshot of
+    ``out`` lists it as a regular file that still has the recorded content
+    digest, and the previous trace ``old_trace`` could be the one written
+    with it (see ``_traces``). Returns the keys and, per hit, its content
+    digest and trace regions.
     """
     keys = {
         path: _cache_key(meta, composed, ctx, ctx.board)
         for path, meta in ctx.claim_meta.items()
     }
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
-    trace_path = out_dir / TRACE_FILE
-    if not trace_path.is_file():
-        return keys, hits, None
-    old_trace_bytes = trace_path.read_bytes()
-    old_trace = TraceIndex.from_text(old_trace_bytes.decode("utf-8", errors="replace"))
+    if old_trace is None:
+        return keys, hits
+    trace = TraceIndex.from_text(old_trace.decode("utf-8", errors="replace"))
     features = ctx.selected | {CORE_FEATURE}
     for path, key in keys.items():
         entry = cache.entries.get(path)
-        regions = old_trace.by_artifact.get(path)
-        existing = out_dir / path
-        if entry is None or entry[0] != key or regions is None or _regular_size(existing) is None:
+        regions = trace.by_artifact.get(path)
+        if entry is None or entry[0] != key or regions is None or snapshot.get(path, _OTHER) < 0:
             continue
-        data = existing.read_bytes()
+        data = _read(out, path)
         # A file that is not UTF-8 cannot match a digest of UTF-8 text: a miss.
-        if hashlib.sha256(data).hexdigest() == entry[1] and _traces(
+        if data is not None and hashlib.sha256(data).hexdigest() == entry[1] and _traces(
             regions, data, ctx.claim_meta[path].component, features
         ):
             hits[path] = (entry[1], regions)
-    return keys, hits, old_trace_bytes
+    return keys, hits
 
 
 def _traces(
@@ -596,17 +595,19 @@ def _run_engine(
     steps = schedule(composed, spec, bindings)
     board = Blackboard()
     ctx = GenContext(diagram, spec, bindings, board)
-    out_dir = Path(spec.output_path)
-    recover_interrupted_swap(out_dir)
+    out = os.path.realpath(spec.output_path)
+    recover_interrupted_swap(out)
     keys: dict[str, str] = {}
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
-    old_trace: bytes | None = None
 
     # The syntax and hook stages run no behaviors, only their gates.
     for stage in (*PHASES, "syntax", "hooks"):
-        if stage == "emit" and cache is not None:
-            keys, hits, old_trace = _lookup_cache(cache, composed, ctx, out_dir)
-            ctx._hits = frozenset(hits)
+        if stage == "emit":
+            snapshot = _scan(out)
+            old_trace = None if snapshot.get(TRACE_FILE, _OTHER) < 0 else _read(out, TRACE_FILE)
+            if cache is not None:
+                keys, hits = _lookup_cache(cache, composed, ctx, out, snapshot, old_trace)
+                ctx._hits = frozenset(hits)
         ctx.phase = stage
         try:
             for step in steps:
@@ -637,10 +638,13 @@ def _run_engine(
     files[TRACE_FILE] = trace.to_text()
 
     # Early cutoff: a file whose bytes are already on disk is linked, not rewritten.
-    same = _same_on_disk(out_dir, files, old_trace)
-    if len(same) < len(files) or not _holds_exactly(out_dir, {*hits, *same}):
+    ours = {*files, *hits, CACHE_FILE}
+    same = _same_on_disk(out, files, snapshot, old_trace)
+    if len(same) < len(files) or _strays(snapshot, ours):
+        if snapshot.get(TRACE_FILE, _DIR) == _DIR:  # no trace.map; a folder of that name is none
+            _check_replaceable(out, ours)
         changed = {path: text for path, text in files.items() if path not in same}
-        _atomic_swap(out_dir, changed, [*hits, *same])
+        _atomic_swap(out, changed, [*hits, *same])
 
     report = GenerationReport(
         written=tuple(sorted(c.path for c in fresh)),
@@ -657,125 +661,124 @@ def _run_engine(
     )
 
 
-def _same_on_disk(out_dir: Path, files: Mapping[str, str], old_trace: bytes | None) -> set[str]:
-    """The paths among ``files`` whose copy in ``out_dir`` is a regular file with these bytes.
+def _same_on_disk(
+    out: str, files: Mapping[str, str], snapshot: Mapping[str, int], old_trace: bytes | None
+) -> set[str]:
+    """The paths among ``files`` that ``out`` holds as a regular file with these bytes.
 
-    Only a file of the same size is read, and the trace map not at all when
-    the cache lookup has already read it into ``old_trace``.
+    Only a file of the same size is read; the trace map's bytes are ``old_trace``.
     """
-    if not os.path.isdir(out_dir):
-        return set()
     same = set()
     for path, text in files.items():
         data = text.encode("utf-8")
-        existing = out_dir / path
-        if _regular_size(existing) != len(data):
+        if snapshot.get(path) != len(data):
             continue
-        if path == TRACE_FILE and old_trace is not None:
-            old = old_trace
-        else:
-            try:
-                old = existing.read_bytes()
-            except OSError:
-                continue
+        old = old_trace if path == TRACE_FILE else _read(out, path)
         if old == data:
             same.add(path)
     return same
 
 
-def _regular_size(path: Path) -> int | None:
-    """The size of ``path`` if it is a regular file, not a symlink; else None."""
-    try:
-        info = os.lstat(path)
-    except OSError:
-        return None
-    return info.st_size if stat.S_ISREG(info.st_mode) else None
+def _scan(out: str) -> dict[str, int]:
+    """Map the relative path of every entry under ``out`` to a regular file's size or a marker.
 
-
-def _holds_exactly(out_dir: Path, files: set[str]) -> bool:
-    """Whether ``out_dir`` holds these regular files, maybe the cache map, and nothing else.
-
-    Paths are compared as claimed, so one such as ``./A.oo`` never matches;
-    a false "differs" only costs a swap.
+    A folder is ``_DIR``. A symlink, anything else and a folder that cannot be listed
+    (``out`` itself as "") are ``_OTHER``. A missing ``out`` gives an empty snapshot.
     """
-    dirs = set()
-    for path in files:
-        while "/" in path:
-            path = path.rpartition("/")[0]
-            dirs.add(path)
-    found = 0
+    snapshot: dict[str, int] = {}
     pending = [""]
-    try:
-        if out_dir.is_symlink():
-            return False
-        while pending:
-            folder = pending.pop()
-            with os.scandir(out_dir / folder) as entries:
+    while pending:
+        folder = pending.pop()
+        try:
+            with os.scandir(os.path.join(out, folder)) as entries:
                 for entry in entries:
                     path = f"{folder}/{entry.name}" if folder else entry.name
-                    if entry.is_dir(follow_symlinks=False) and path in dirs:
+                    if entry.is_dir(follow_symlinks=False):
+                        snapshot[path] = _DIR
                         pending.append(path)
-                    elif entry.is_file(follow_symlinks=False) and path in files:
-                        found += 1
-                    elif not (path == CACHE_FILE and entry.is_file(follow_symlinks=False)):
-                        return False
-    except OSError:
-        return False
-    return found == len(files)
+                    elif entry.is_file(follow_symlinks=False):
+                        snapshot[path] = entry.stat(follow_symlinks=False).st_size
+                    else:
+                        snapshot[path] = _OTHER
+        except OSError as exc:
+            if folder or not isinstance(exc, FileNotFoundError):
+                snapshot[folder] = _OTHER
+    return snapshot
 
 
-def _atomic_swap(out_dir: Path, files: Mapping[str, str], linked: Collection[str]) -> None:
-    """Replace ``out_dir`` with the written ``files`` plus the ``linked`` paths of the old output.
+def _strays(snapshot: Mapping[str, int], ours: Collection[str]) -> list[str]:
+    """The entries of ``snapshot`` other than a regular file in ``ours`` and a folder above one."""
+    folders = set()
+    for path in ours:
+        while "/" in path:
+            path = path.rpartition("/")[0]
+            folders.add(path)
+    return [
+        path
+        for path, size in snapshot.items()
+        if not (size >= 0 and path in ours or size == _DIR and path in folders)
+    ]
 
-    Linked paths are hard-linked from ``out_dir`` into the stage, or copied
-    where the filesystem refuses the link.
-    """
-    parent = out_dir.resolve().parent
-    resolved = parent / out_dir.name
+
+def _read(out: str, path: str) -> bytes | None:
+    """The bytes of the file at ``path`` in ``out``, or None if it cannot be read."""
     try:
-        _check_replaceable(resolved, {*files, *linked})
-        parent.mkdir(parents=True, exist_ok=True)
-        stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.stage-", dir=parent))
+        with open(os.path.join(out, path), "rb") as f:
+            return f.read()
+    except OSError:
+        return None
+
+
+def _atomic_swap(out: str, files: Mapping[str, str], linked: Collection[str]) -> None:
+    """Replace ``out`` with the written ``files`` plus the ``linked`` paths of the old output.
+
+    Linked paths are hard-linked from ``out`` into the stage, or copied
+    where the filesystem refuses the link. ``out`` is a resolved path.
+    """
+    parent, name = os.path.split(out)
+    try:
+        os.makedirs(parent, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=f".{name}.stage-", dir=parent)
     except OSError as exc:
         raise GenerationIOError(f"cannot stage outputs: {exc}") from exc
-    backup = parent / f".{out_dir.name}.old-{uuid.uuid4().hex}"
+    backup = Path(parent, f".{name}.old-{uuid.uuid4().hex}")
     try:
         for rel in (*files, *linked):
             if "/" in rel:
-                (stage / rel).parent.mkdir(parents=True, exist_ok=True)
+                os.makedirs(os.path.dirname(os.path.join(stage, rel)), exist_ok=True)
         for rel, text in files.items():
-            (stage / rel).write_text(text, encoding="utf-8")
+            with open(os.path.join(stage, rel), "w", encoding="utf-8") as f:
+                f.write(text)
         for rel in linked:
             try:
-                os.link(out_dir / rel, stage / rel)
+                os.link(os.path.join(out, rel), os.path.join(stage, rel))
             except OSError:
-                shutil.copyfile(out_dir / rel, stage / rel)
-        if resolved.exists():
-            resolved.rename(backup)
-        stage.rename(resolved)
+                shutil.copyfile(os.path.join(out, rel), os.path.join(stage, rel))
+        if os.path.exists(out):
+            Path(out).rename(backup)
+        Path(stage).rename(out)
     except OSError as exc:
         shutil.rmtree(stage, ignore_errors=True)
-        if backup.exists() and not resolved.exists():
-            backup.rename(resolved)
+        if backup.exists() and not os.path.exists(out):
+            backup.rename(out)
         raise GenerationIOError(f"cannot write outputs: {exc}") from exc
     shutil.rmtree(backup, ignore_errors=True)
 
 
-def recover_interrupted_swap(out_dir: Path) -> None:
+def recover_interrupted_swap(out_dir: str | Path) -> None:
     """Undo a swap that was cut off between its two renames.
 
-    Such a swap leaves no ``out_dir``, a ``.<out>.old-*`` sibling holding the
-    previous output and a ``.<out>.stage-*`` sibling. When ``out_dir`` is
-    missing, the newest old sibling that has a trace map becomes ``out_dir``
-    again and every other such sibling is removed. Otherwise nothing happens.
+    Such a swap leaves no ``out``, the resolved ``out_dir``, a ``.<out>.old-*``
+    sibling holding the previous output and a ``.<out>.stage-*`` sibling. When
+    ``out`` is missing, the newest old sibling that has a trace map becomes
+    ``out`` again and every other such sibling is removed. Otherwise nothing happens.
     """
-    if os.path.lexists(out_dir):
+    out = Path(os.path.realpath(out_dir))
+    if os.path.lexists(out):
         return
-    parent = out_dir.resolve().parent
-    resolved = parent / out_dir.name
-    prefixes = (f".{out_dir.name}.old-", f".{out_dir.name}.stage-")
+    prefixes = (f".{out.name}.old-", f".{out.name}.stage-")
     try:
-        with os.scandir(parent) as entries:
+        with os.scandir(out.parent) as entries:
             leftovers = [
                 Path(entry.path)
                 for entry in entries
@@ -789,7 +792,7 @@ def recover_interrupted_swap(out_dir: Path) -> None:
         ]
         if backups:
             newest = max(backups, key=lambda p: p.stat().st_mtime_ns)
-            newest.rename(resolved)
+            newest.rename(out)
             leftovers.remove(newest)
     except OSError as exc:
         raise GenerationIOError(f"cannot recover an interrupted output swap: {exc}") from exc
@@ -797,23 +800,19 @@ def recover_interrupted_swap(out_dir: Path) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def _check_replaceable(out_dir: Path, paths: set[str]) -> None:
+def _check_replaceable(out: str, ours: Collection[str]) -> None:
     """Refuse to replace a directory that genline did not write.
 
     An earlier output has a trace.map. Without one (it may have been deleted),
-    the directory may hold only files this run writes or links and the cache map.
+    a stray other than a folder must sit at a path this run writes or links.
     """
-    if not out_dir.exists() or (out_dir / TRACE_FILE).is_file():
-        return
-    if not out_dir.is_dir():
-        raise GenerationIOError(f"refusing to replace {str(out_dir)!r}: it is not a directory")
-    ours = paths | {CACHE_FILE}
-    for path in out_dir.rglob("*"):
-        rel = path.relative_to(out_dir).as_posix()
-        if not path.is_dir() and rel not in ours:
+    snapshot = _scan(out)
+    for path in _strays(snapshot, ours):
+        if snapshot[path] != _DIR and path not in ours:
+            why = f"has no {TRACE_FILE} and holds {path!r}, which generation does not write"
             raise GenerationIOError(
-                f"refusing to replace {str(out_dir)!r}: it has no {TRACE_FILE} and holds "
-                f"{rel!r}, which generation does not write"
+                f"refusing to replace {out!r}: it "
+                + (why if path else "is not a directory that can be listed")
             )
 
 

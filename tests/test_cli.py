@@ -426,6 +426,43 @@ def test_generate_recovers_a_swap_cut_off_between_its_renames(tmp_path, monkeypa
     assert read_tree(tmp_path / "out") == cold
 
 
+@pytest.mark.parametrize("rerun", [(), ("--incremental",)], ids=["plain", "incremental"])
+def test_generate_through_a_symlinked_output(tmp_path, rerun):
+    """An ``out:`` that is a symlink to a directory replaces that directory
+    and keeps the link; the stage and backup sit beside the target."""
+    vsp = write_variant(tmp_path)
+    store = tmp_path / "store"
+    target = store / "real"
+    target.mkdir(parents=True)
+    link = tmp_path / "out"
+    link.symlink_to(target, target_is_directory=True)
+    names = ["PersonBuilder.oo", "Person.oo", "ReceiptBuilder.oo", "Receipt.oo", "ShopFactory.oo"]
+    expected = sorted([*names, "trace.map", *(["gencache.map"] if rerun else [])])
+
+    def generate_and_check():
+        code, _, err = run("generate", *rerun, "-s", str(vsp))
+        assert code == EXIT_OK, err
+        assert link.is_symlink() and link.readlink() == target
+        assert sorted(read_tree(target)) == expected
+        assert sorted(p.name for p in store.iterdir()) == ["real"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl", "store"]
+
+    generate_and_check()
+    before = _file_stats(target)
+    generate_and_check()  # no change: no file is touched
+    assert _file_stats(target) == before
+    code, out, err = run("trace", "-s", str(vsp), "--feature", "Builder")
+    assert code == EXIT_OK, err
+    assert "PersonBuilder.oo:" in out
+
+    # A swap cut off between its renames leaves the target moved aside; the
+    # next run moves it back and, changing nothing, leaves it as it was.
+    target.rename(store / f".real.old-{'0' * 32}")
+    (store / ".real.stage-x").mkdir()
+    generate_and_check()
+    assert _file_stats(target) == before
+
+
 def test_generate_incremental_cache_that_is_not_a_directory(tmp_path):
     vsp = write_variant(tmp_path)
     assert run("generate", "-s", str(vsp))[0] == EXIT_OK

@@ -564,7 +564,10 @@ def test_adopt_checks_builder_identity_and_double_emit(tmp_path):
         generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o"))
 
 
-@pytest.mark.parametrize("claimed", ["../escape.oo", "trace.map", "gencache.map", "{tmp}/abs.oo"])
+@pytest.mark.parametrize(
+    "claimed",
+    ["../escape.oo", "trace.map", "gencache.map", "{tmp}/abs.oo", "./A.oo", "p//q.oo", "p/", ".", ""],
+)
 def test_claim_paths_stay_inside_the_output(tmp_path, claimed):
     path = claimed.format(tmp=tmp_path)
 
@@ -946,18 +949,22 @@ _DAMAGE = st.one_of(
     st.tuples(st.just("stray"), st.sampled_from(("notes.txt", ".hidden", "p/q.oo"))),
     st.tuples(st.just("empty dir"), st.sampled_from(("p", "Receipt.oo", "Person.oo.d"))),
     st.tuples(st.just("symlink"), st.sampled_from(_SMALL_FILES)),
+    st.tuples(st.just("dir symlink"), st.sampled_from(("linked", "p/linked"))),
 )
 
 
 def _damage(out: Path, outside: Path, damage: tuple) -> bool:
     """Apply one damage to an output directory; False if it does not apply."""
     kind, target = damage[0], out / damage[1]
-    if kind in ("stray", "empty dir"):
+    if kind in ("stray", "empty dir", "dir symlink"):
         if target.exists() or target.is_symlink():
             return False
         if kind == "stray":
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(b"stray\n")
+        elif kind == "dir symlink":  # a stray link to a directory outside the output
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.symlink_to(outside, target_is_directory=True)
         else:
             target.mkdir(parents=True)
         return True
@@ -1001,11 +1008,12 @@ def _shape(root: Path) -> dict[str, object]:
 @example(damages=[("mutate", "trace.map", 12, 1)])
 @example(damages=[("mutate", "trace.map", 14, 1)])
 @example(damages=[("mutate", "trace.map", 20, 1)])
+@example(damages=[("delete", "trace.map"), ("dir symlink", "linked")])
 def test_generate_over_a_damaged_output_yields_the_cold_tree(incremental, damages):
     """Damage is repaired, and every file it left alone keeps its inode and mtime.
 
-    Without its trace map, a directory holding a stray file is not genline's
-    and is refused as it stands.
+    Without its trace map, a directory holding a stray file or a stray symlink
+    to a directory is not genline's and is refused as it stands.
     """
     composed, diagram = compose_reference(FULL_GEN), _small_diagram()
     with tempfile.TemporaryDirectory() as tmp:
@@ -1027,7 +1035,9 @@ def test_generate_over_a_damaged_output_yields_the_cold_tree(incremental, damage
                 return incremental_generate(composed, diagram, spec, cache)[0]
             return generate(composed, diagram, spec)
 
-        if ("delete", TRACE_FILE) in applied and any(kind == "stray" for kind, _ in applied):
+        if ("delete", TRACE_FILE) in applied and any(
+            kind in ("stray", "dir symlink") for kind, _ in applied
+        ):
             damaged_shape = _shape(out)
             with pytest.raises(GenerationIOError, match="refusing to replace"):
                 rerun()
