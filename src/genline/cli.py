@@ -247,7 +247,10 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         # A swap cut off by a kill leaves the cache map in a backup directory.
         recover_interrupted_swap(Path(spec.output_path))
         cache_path = cache_dir / CACHE_FILE
-        old_text = cache_path.read_bytes() if cache_path.is_file() else None
+        try:  # a map that is missing or cannot be read is no cache: every artifact misses
+            old_text = cache_path.read_bytes() if cache_path.is_file() else None
+        except OSError:
+            old_text = None
         cache = GenCache.from_text((old_text or b"").decode("utf-8", errors="replace"))
         report, new_cache = incremental_generate(composed, diagram, spec, cache)
         new_text = new_cache.to_text().encode("utf-8")

@@ -36,6 +36,8 @@ _PHASES_BY_KIND = {
 OPTION_TYPES = ("flag", "choice", "text")
 VARIATION_POINT_KINDS = ("text_fragment", "name_pattern")
 BINDING_MODES = ("generation_time", "run_time", "hybrid")
+# The modes that route object creation through provider hooks.
+LATE_BINDING_MODES = ("run_time", "hybrid")
 
 
 class RegistrationError(ValueError):

@@ -19,6 +19,7 @@ from .components import (
     Behavior,
     Bindings,
     GeneratorComponent,
+    LATE_BINDING_MODES,
     OptionBindingError,
     PHASES,
     VariantSpec,
@@ -223,7 +224,7 @@ def validate_composition(composed: ComposedGenerator, spec: VariantSpec) -> Vali
                 )
             )
 
-    if spec.mode in ("run_time", "hybrid"):
+    if spec.mode in LATE_BINDING_MODES:
         provided = frozenset().union(*(c.interface.hooks_provided for c in composed.components))
         for comp in composed.components:
             for pattern in sorted(comp.interface.hooks_required - provided):

@@ -3,9 +3,12 @@
 A feature model is a tree of features with mandatory/optional markers, optional
 xor/or groups over a feature's children, and cross-tree requires/excludes
 constraints. A configuration is a set of selected features; it is valid when it
-satisfies the tree and constraint semantics. ``model_formula`` states those
-semantics as one propositional formula (Batory, SPLC 2005), and enumeration
-counts and lists its models through a BDD instead of testing every subset.
+satisfies the tree and constraint semantics. Those semantics are stated once,
+as a list of rules that each pair a violation code with a formula.
+``validate_configuration`` reports the rules a selection breaks, and
+``model_formula`` is their conjunction, one propositional formula (Batory,
+SPLC 2005) whose models enumeration counts and lists through a BDD instead of
+testing every subset.
 
 FML text format:
 
@@ -22,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .formula import FALSE, TRUE, And, Atom, Bdd, Formula, Implies, Not, Or
+from .formula import FALSE, TRUE, And, Atom, Bdd, Formula, Implies, Not, Or, evaluate
 from .lexing import MAX_NESTING, TextSyntaxError, TokenStream, tokenize
 from .report import ValidationReport, Violation
 
@@ -254,102 +257,74 @@ def format_feature_model(model: FeatureModel) -> str:
 # ---------------------------------------------------------------------------
 # Configuration semantics
 
+_Rule = tuple[str, tuple[str, ...], Formula, str]
+
+
+def _rules(model: FeatureModel, owners: Iterable[str]) -> list[_Rule]:
+    """Each configuration rule as ``(code, subjects, formula, message)``, in report order.
+
+    The root rule comes first, then, for each owner feature in turn, its
+    parent rule, a rule per mandatory child and its group rule, then the
+    cross-tree constraints. Every rule an owner brings is an implication from
+    it, so a rule of an unselected owner holds.
+    """
+    root = model.root
+    rules: list[_Rule] = [(CFG_ROOT, (root,), Atom(root), f"root feature {root} not selected")]
+    for fid in owners:
+        feature, owner = model.features[fid], Atom(fid)
+        parent = feature.parent
+        if parent is not None:
+            message = f"parent {parent} of selected {fid} not selected"
+            rules.append((CFG_PARENT, (fid, parent), Implies(owner, Atom(parent)), message))
+        for child in feature.children:
+            if model.features[child].variability == MANDATORY:
+                message = f"mandatory child {child} of selected {fid} not selected"
+                rules.append((CFG_MANDATORY, (child, fid), Implies(owner, Atom(child)), message))
+        group = feature.group
+        if group is not None:
+            members = [Atom(m) for m in group.members]
+            some = _balanced(Or, members, FALSE)
+            if group.kind == "xor":
+                pairs = [Not(And(a, b)) for a, b in combinations(members, 2)]
+                code, holds = CFG_XOR, _balanced(And, [some, *pairs], TRUE)
+                message = f"xor group of {fid} needs exactly one member"
+            else:
+                code, holds, message = CFG_OR, some, f"or group of {fid} needs at least one member"
+            rules.append((code, (fid, *group.members), Implies(owner, holds), message))
+    for ctc in model.constraints:
+        lhs, rhs = Atom(ctc.lhs), Atom(ctc.rhs)
+        if ctc.kind == "requires":
+            code, holds = CFG_REQUIRES, Implies(lhs, rhs)
+            message = f"{ctc.lhs} requires {ctc.rhs}, which is not selected"
+        else:
+            code, holds = CFG_EXCLUDES, Not(And(lhs, rhs))
+            message = f"{ctc.lhs} excludes {ctc.rhs}, both selected"
+        rules.append((code, (ctc.lhs, ctc.rhs), holds, message))
+    return rules
+
+
 def validate_configuration(model: FeatureModel, config: Configuration) -> ValidationReport:
     """Check a selection against the model; one violation per violated rule."""
-    violations: list[Violation] = []
     known = frozenset(fid for fid in config.selected if fid in model.features)
-    for fid in sorted(config.selected - known):
-        violations.append(
-            Violation(CFG_UNKNOWN, (fid,), f"unknown feature {fid!r} in configuration")
-        )
-    selected = known
-    if model.root not in selected:
-        violations.append(
-            Violation(CFG_ROOT, (model.root,), f"root feature {model.root} not selected")
-        )
-    for fid in sorted(selected):
-        feature = model.features[fid]
-        if feature.parent is not None and feature.parent not in selected:
-            violations.append(
-                Violation(
-                    CFG_PARENT,
-                    (fid, feature.parent),
-                    f"parent {feature.parent} of selected {fid} not selected",
-                )
-            )
-        for child_id in feature.children:
-            child = model.features[child_id]
-            if child.variability == MANDATORY and child_id not in selected:
-                violations.append(
-                    Violation(
-                        CFG_MANDATORY,
-                        (child_id, fid),
-                        f"mandatory child {child_id} of selected {fid} not selected",
-                    )
-                )
-        if feature.group is not None:
-            chosen = [m for m in feature.group.members if m in selected]
-            if feature.group.kind == "xor" and len(chosen) != 1:
-                violations.append(
-                    Violation(
-                        CFG_XOR,
-                        (fid, *feature.group.members),
-                        f"xor group of {fid} needs exactly one member, {len(chosen)} selected",
-                    )
-                )
-            elif feature.group.kind == "or" and not chosen:
-                violations.append(
-                    Violation(
-                        CFG_OR,
-                        (fid, *feature.group.members),
-                        f"or group of {fid} needs at least one member",
-                    )
-                )
-    for ctc in model.constraints:
-        if ctc.kind == "requires" and ctc.lhs in selected and ctc.rhs not in selected:
-            violations.append(
-                Violation(
-                    CFG_REQUIRES,
-                    (ctc.lhs, ctc.rhs),
-                    f"{ctc.lhs} requires {ctc.rhs}, which is not selected",
-                )
-            )
-        elif ctc.kind == "excludes" and ctc.lhs in selected and ctc.rhs in selected:
-            violations.append(
-                Violation(
-                    CFG_EXCLUDES,
-                    (ctc.lhs, ctc.rhs),
-                    f"{ctc.lhs} excludes {ctc.rhs}, both selected",
-                )
-            )
+    violations = [
+        Violation(CFG_UNKNOWN, (fid,), f"unknown feature {fid!r} in configuration")
+        for fid in sorted(config.selected - known)
+    ]
+    for code, subjects, formula, message in _rules(model, sorted(known)):
+        if not evaluate(formula, known, {}):
+            if code == CFG_XOR:  # the one message that depends on the selection
+                message += f", {len(known.intersection(subjects[1:]))} selected"
+            violations.append(Violation(code, subjects, message))
     return ValidationReport(tuple(violations))
 
 
 def model_formula(model: FeatureModel) -> Formula:
-    """The model's tree and constraints as one formula over its feature ids.
+    """The model's configuration rules as one formula over its feature ids.
 
-    Its models are exactly the valid configurations: the root is selected, a
-    child implies its parent, a parent its mandatory children, a group owner
-    at least one member (and, for xor, no two members together), and each
-    requires/excludes constraint holds.
+    Its models are exactly the valid configurations. The rules are joined in
+    the model's own feature order: the BDD's work depends on that order.
     """
-    rules: list[Formula] = [Atom(model.root)]
-    for feature in model.features.values():
-        fid = feature.id
-        if feature.parent is not None:
-            rules.append(Implies(Atom(fid), Atom(feature.parent)))
-        for child in feature.children:
-            if model.features[child].variability == MANDATORY:
-                rules.append(Implies(Atom(fid), Atom(child)))
-        if feature.group is not None:
-            members = [Atom(m) for m in feature.group.members]
-            rules.append(Implies(Atom(fid), _balanced(Or, members, FALSE)))
-            if feature.group.kind == "xor":
-                rules.extend(Not(And(a, b)) for a, b in combinations(members, 2))
-    for ctc in model.constraints:
-        lhs, rhs = Atom(ctc.lhs), Atom(ctc.rhs)
-        rules.append(Implies(lhs, rhs) if ctc.kind == "requires" else Not(And(lhs, rhs)))
-    return _balanced(And, rules, TRUE)
+    return _balanced(And, [formula for _, _, formula, _ in _rules(model, model.features)], TRUE)
 
 
 def _balanced(op: type, parts: list[Formula], empty: Formula) -> Formula:

@@ -29,6 +29,7 @@ from . import ootl
 from .classdiagram import ClassDiagram, ContextCondition, check_context_conditions
 from .components import (
     FACT_TOPICS,
+    LATE_BINDING_MODES,
     PHASES,
     Bindings,
     GeneratorComponent,
@@ -453,7 +454,7 @@ def resolve_hooks(board: Blackboard, mode: str) -> ValidationReport:
 
     Generation-time binding uses no hooks, so the check is vacuous there.
     """
-    if mode == "generation_time":
+    if mode not in LATE_BINDING_MODES:
         return ValidationReport()
     provided = {f.subject for f in board.query("hook.provided")}
     violations = [

@@ -39,6 +39,7 @@ from .components import (
     ComponentInterface,
     ComponentRegistry,
     ForcedOption,
+    LATE_BINDING_MODES,
     GeneratorComponent,
     OptionDecl,
     VariationPoint,
@@ -264,7 +265,7 @@ def _types_declare_interfaces(ctx: GenContext, comp: GeneratorComponent) -> None
 
 
 def _types_declare_providers(ctx: GenContext, comp: GeneratorComponent) -> None:
-    if ctx.mode not in ("run_time", "hybrid"):
+    if ctx.mode not in LATE_BINDING_MODES:
         return
     for cls in ctx.diagram.classes():
         ctx.claim(comp, f"{cls.name}Provider.oo", f"{ctx.diagram.name}/provider/{cls.name}")
@@ -292,7 +293,7 @@ def _types_emit_interfaces(ctx: GenContext, comp: GeneratorComponent) -> None:
 
 
 def _types_emit_providers(ctx: GenContext, comp: GeneratorComponent) -> None:
-    if ctx.mode not in ("run_time", "hybrid"):
+    if ctx.mode not in LATE_BINDING_MODES:
         return
     for cls in ctx.diagram.classes():
         if ctx.should_emit(f"{cls.name}Provider.oo"):

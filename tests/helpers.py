@@ -24,6 +24,7 @@ from genline import (
 )
 from genline.components import build_registry
 from genline.composition import ComposedGenerator
+from genline.featuremodel import MANDATORY
 from genline.lexing import TextSyntaxError
 
 ALL_FEATURES = (
@@ -132,6 +133,38 @@ def iter_subsets(model: FeatureModel) -> Iterator[Configuration]:
     ids = model.feature_ids()
     for mask in range(1 << len(ids)):
         yield Configuration(frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1))
+
+
+def satisfies_model(model: FeatureModel, selected: frozenset[str]) -> bool:
+    """Whether a selection is a valid configuration, checked on sets straight
+    from the FML semantics: the oracle for the rules behind both
+    ``validate_configuration`` and ``model_formula``.
+
+    Every selected feature is in the model, the root is selected, the
+    selection is closed under "parent of" and under "mandatory child of", a
+    selected group owner has at least one of its members selected (and, for
+    xor, at most one), every requires edge out of the selection ends in it,
+    and no excludes edge has both ends in it.
+    """
+    features = model.features
+    if not selected <= features.keys() or model.root not in selected:
+        return False
+    for fid in selected:
+        feature = features[fid]
+        if feature.parent is not None and feature.parent not in selected:
+            return False
+        mandatory = {c for c in feature.children if features[c].variability == MANDATORY}
+        if not mandatory <= selected:
+            return False
+        if feature.group is not None:
+            chosen = selected & set(feature.group.members)
+            if not chosen or (feature.group.kind == "xor" and len(chosen) > 1):
+                return False
+    requires = {(c.lhs, c.rhs) for c in model.constraints if c.kind == "requires"}
+    excludes = {(c.lhs, c.rhs) for c in model.constraints if c.kind == "excludes"}
+    return all(rhs in selected for lhs, rhs in requires if lhs in selected) and not any(
+        lhs in selected and rhs in selected for lhs, rhs in excludes
+    )
 
 
 def read_tree(root) -> dict[str, bytes]:

@@ -426,6 +426,44 @@ def test_generate_recovers_a_swap_cut_off_between_its_renames(tmp_path, monkeypa
     assert read_tree(tmp_path / "out") == cold
 
 
+@pytest.mark.parametrize("fail", ["staging", "rename"])
+def test_generate_leaves_out_alone_when_the_swap_fails(tmp_path, monkeypatch, fail):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(out_dir)
+    before = _file_stats(out_dir)
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    real_rename = Path.rename
+    renames = []
+
+    def rename(self, target):
+        renames.append(target)
+        if len(renames) == 2:  # output moved aside, stage not yet moved in
+            refuse()
+        return real_rename(self, target)
+
+    # Changed bytes to write, so the run must swap; the unchanged files are linked.
+    write_variant(tmp_path, cdl=EDITED_CDL)
+    if fail == "staging":
+        monkeypatch.setattr(os, "link", refuse)
+        monkeypatch.setattr(shutil, "copyfile", refuse)
+    else:
+        monkeypatch.setattr(Path, "rename", rename)
+    code, out, err = run("generate", "-s", str(vsp))
+    monkeypatch.undo()
+    assert (code, out) == (EXIT_GENERATION, "")
+    assert "cannot write outputs" in err
+    if fail == "rename":
+        assert len(renames) == 3  # the third moves the old output back
+    assert read_tree(out_dir) == cold
+    assert _file_stats(out_dir) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+
+
 @pytest.mark.parametrize("rerun", [(), ("--incremental",)], ids=["plain", "incremental"])
 def test_generate_through_a_symlinked_output(tmp_path, rerun):
     """An ``out:`` that is a symlink to a directory replaces that directory
@@ -521,6 +559,34 @@ def test_bytes_that_are_not_utf8_never_raise(tmp_path, damaged, command, expecte
         assert read_tree(tmp_path / "out") == cold
     else:
         assert out == "unknown artifact: Person.oo\n"
+
+
+def test_generate_incremental_with_an_unreadable_cache(tmp_path, monkeypatch):
+    vsp = write_variant(tmp_path)
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(tmp_path / "out")
+
+    def refused_for_the_map(real):
+        def method(self, *args):
+            if self.name == "gencache.map":
+                raise PermissionError(errno.EACCES, "Permission denied", str(self))
+            return real(self, *args)
+
+        return method
+
+    # A cache map that cannot be read is no cache: every artifact misses,
+    # the output already holds the bytes, and the map is written again.
+    monkeypatch.setattr(Path, "read_bytes", refused_for_the_map(Path.read_bytes))
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert "cache hits: none\n" in out
+    # A map that can then not be written either fails the run.
+    monkeypatch.setattr(Path, "write_bytes", refused_for_the_map(Path.write_bytes))
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_GENERATION
+    assert "cannot write" in err and "gencache.map" in err
+    monkeypatch.undo()
+    assert read_tree(tmp_path / "out") == cold
 
 
 def test_generate_refuses_a_directory_it_did_not_write(tmp_path):
@@ -704,3 +770,31 @@ def test_benchmark_hook_points_see_a_generate(tmp_path, monkeypatch):
     assert spans == {name for *_, name in tracing.SPAN_POINTS} - not_in_generate
     assert len(spans) == 21
     assert tracer.counts["lexing.tokens"] > 0
+
+
+def test_benchmark_hook_points_see_an_incremental_rerun(tmp_path, monkeypatch):
+    # The sibling of the test above for a no-change --incremental run, which
+    # reuses every artifact and so emits and checks none.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "genbench"))
+    import tracing
+
+    vsp = write_variant(tmp_path, features=", ".join(ALL_FEATURES), mode="hybrid", cdl=COVERING_CDL)
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    finally:
+        tracer.uninstall()
+    assert code == EXIT_OK, err
+    assert "written: none\n" in out
+    spans = {name for name, *_ in tracer.spans}
+    points = {name for *_, name in tracing.SPAN_POINTS}
+    not_in_rerun = {
+        "featuremodel.enumerate_configurations",
+        "generation.generate",
+        "ootl.check_unit",
+        *(name for name in points if name.startswith("reference.")),
+    }
+    assert spans == points - not_in_rerun
+    assert len(spans) == 15

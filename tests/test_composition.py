@@ -137,6 +137,18 @@ def test_validate_reports_constraint_with_owner():
     assert "(Builder implies DefaultConstructor)" in violation.message
 
 
+def test_validate_turns_a_bad_binding_into_one_constraint_violation():
+    # Without the binding, Builder's own constraint would be reported; a
+    # binding that check_bindings rejects stops the constraints being evaluated.
+    selected = ("CD2Java", "Types", "Class", "Builder")
+    composed = compose_reference(selected)
+    report = validate_composition(composed, make_spec(selected, "out", options={"Types.nope": True}))
+    assert report.codes() == (CMP_CONSTRAINT,)
+    violation = report.violations[0]
+    assert violation.subjects == ()
+    assert violation.message == "variant 'test': component 'Types' has no option 'nope'"
+
+
 def test_validate_reports_missing_producer():
     lonely = _component("Lonely", consumes=("type.generated",))
     composed = compose_all([lonely])

@@ -31,7 +31,7 @@ from genline.featuremodel import (
 from genline.formula import evaluate
 from genline.reference import REFERENCE_FML, reference_feature_model
 
-from helpers import ALL_FEATURES, iter_subsets
+from helpers import ALL_FEATURES, iter_subsets, satisfies_model
 
 
 def _valid_by_hand(selected: frozenset[str]) -> bool:
@@ -334,6 +334,20 @@ def test_model_formula_holds_exactly_on_valid_configurations(model):
         assert evaluate(formula, config.selected, {}) == (
             validate_configuration(model, config).valid
         ), sorted(config.selected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(feature_models())
+def test_validation_and_model_formula_agree_with_the_set_oracle(model):
+    # Both read one rule list, so each is checked against sets, not the other.
+    formula = model_formula(model)
+    for config in iter_subsets(model):
+        expected = satisfies_model(model, config.selected)
+        assert validate_configuration(model, config).valid == expected, sorted(config.selected)
+        assert evaluate(formula, config.selected, {}) == expected, sorted(config.selected)
+    unknown = Configuration(frozenset({model.root, "Unknown"}))
+    assert not satisfies_model(model, unknown.selected)
+    assert not validate_configuration(model, unknown).valid
 
 
 @settings(max_examples=100, deadline=None)
