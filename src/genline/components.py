@@ -27,10 +27,10 @@ FACT_TOPICS = frozenset(
 )
 
 COMPONENT_KINDS = ("front_end", "back_end")
-PHASES = ("restrict", "declare", "emit")
+PHASES = ("restrict", "declare")
 _PHASES_BY_KIND = {
     "front_end": frozenset({"restrict"}),
-    "back_end": frozenset({"declare", "emit"}),
+    "back_end": frozenset({"declare"}),
 }
 
 OPTION_TYPES = ("flag", "choice", "text")

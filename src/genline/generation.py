@@ -1,21 +1,24 @@
 """Generation engine: run a composed generator's schedule over an input model.
 
 The run is phased. Front-end behaviors restrict the input (context
-conditions), declare behaviors claim artifact paths and publish facts on the
-blackboard, emit behaviors fill artifact containers. Nothing touches the
-filesystem until every container has passed syntax validation and every
-required hook is resolved; then all files are written in one atomic
-stage-and-swap. Incremental runs reuse artifacts whose cache key (input
-element, component, options, consumed facts) is unchanged, with outputs
-byte-identical to a cold run. Every run, incremental or not, writes only the
-files whose bytes changed: a cache hit, or a file already on disk with the
-same bytes, is hard-linked into the stage, never rewritten, and a run that
-changes nothing leaves the output directory alone. The engine looks at that
-directory once per run: one resolved path and one scan serve every step.
+conditions); declare behaviors publish facts on the blackboard and claim
+artifact paths, each claim with the builder of its artifact container. The
+engine then calls the builder of every claim whose cached output cannot be
+reused, and of no other. Nothing touches the filesystem until every built
+container has passed syntax validation and every required hook is resolved;
+then all files are written in one atomic stage-and-swap. Incremental runs
+reuse artifacts whose cache key (input element, component, options, consumed
+facts) is unchanged, with outputs byte-identical to a cold run. Every run,
+incremental or not, writes only the files whose bytes changed: a cache hit,
+or a file already on disk with the same bytes, is hard-linked into the stage,
+never rewritten, and a run that changes nothing leaves the output directory
+alone. The engine looks at that directory once per run: one resolved path and
+one scan serve every step.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import shutil
@@ -23,7 +26,7 @@ import tempfile
 import uuid
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import ootl
 from .classdiagram import ClassDiagram, ContextCondition, check_context_conditions
@@ -40,7 +43,6 @@ from .composition import ComposedGenerator, schedule
 from .report import ValidationReport, Violation
 
 GEN_CLAIM = "GEN-CLAIM"
-GEN_EMIT = "GEN-EMIT"
 GEN_SYNTAX = "GEN-SYNTAX"
 GEN_HOOK = "GEN-HOOK"
 
@@ -217,6 +219,10 @@ class TraceIndex:
             path: tuple(sorted(regions, key=lambda r: r.start))
             for path, regions in sorted(regions_by_artifact.items())
         }
+
+    @functools.cached_property
+    def by_feature(self) -> dict[str, tuple[tuple[str, tuple[int, int]], ...]]:
+        """Per feature, its line ranges in artifact order; adjacent ranges coalesce."""
         by_feature: dict[str, list[tuple[str, tuple[int, int]]]] = {}
         for path, regions in self.by_artifact.items():
             for region in regions:
@@ -226,9 +232,7 @@ class TraceIndex:
                         ranges[-1] = (path, (ranges[-1][1][0], region.end))
                     else:
                         ranges.append((path, (region.start, region.end)))
-        self.by_feature: dict[str, tuple[tuple[str, tuple[int, int]], ...]] = {
-            feat: tuple(ranges) for feat, ranges in sorted(by_feature.items())
-        }
+        return {feat: tuple(ranges) for feat, ranges in sorted(by_feature.items())}
 
     def to_lines(self) -> list[str]:
         lines = []
@@ -338,7 +342,7 @@ class GenerationReport:
     facts_count: int
     violations: ValidationReport
     trace: TraceIndex
-    failed_stage: str | None = None  # "restrict"|"declare"|"emit"|"syntax"|"hooks"|None
+    failed_stage: str | None = None  # "restrict"|"declare"|"syntax"|"hooks"|None
 
     @property
     def ok(self) -> bool:
@@ -350,10 +354,11 @@ class _ClaimMeta:
     component: str
     element_key: str
     fact_subjects: tuple[str, ...] | None  # None = all consumed facts matter
+    build: Callable[[], ArtifactContainer]
 
 
 class GenContext:
-    """The engine-side API handed to behaviors, one instance per run."""
+    """The engine-side API handed to behaviors and builders, one instance per run."""
 
     def __init__(
         self, diagram: ClassDiagram, spec: VariantSpec, bindings: Bindings, board: Blackboard
@@ -367,7 +372,6 @@ class GenContext:
         self.conditions: list[ContextCondition] = []
         self.containers: dict[str, ArtifactContainer] = {}
         self.claim_meta: dict[str, _ClaimMeta] = {}
-        self._hits: frozenset[str] = frozenset()
         self._bindings = bindings
 
     # -- variant views ------------------------------------------------------
@@ -391,12 +395,14 @@ class GenContext:
         component: GeneratorComponent,
         path: str,
         element_key: str,
+        build: Callable[[], ArtifactContainer],
         fact_subjects: Iterable[str] | None = None,
     ) -> None:
+        """Claim ``path``; the engine calls ``build()`` for its container on a cache miss."""
         self._require_phase("declare", "claim")
         claim_artifact(self.board, path, component.id)
         subjects = None if fact_subjects is None else tuple(sorted(set(fact_subjects)))
-        self.claim_meta[path] = _ClaimMeta(component.id, element_key, subjects)
+        self.claim_meta[path] = _ClaimMeta(component.id, element_key, subjects, build)
 
     def publish(
         self,
@@ -408,38 +414,12 @@ class GenContext:
         self._require_phase("declare", "publish")
         self.board.publish(Fact.make(topic, component.id, subject, payload), producer=component)
 
-    # -- declare and emit phases ----------------------------------------------
+    # -- declare phase and builders --------------------------------------------
 
     def facts(
         self, component: GeneratorComponent, topic: str, subject: str | None = None
     ) -> tuple[Fact, ...]:
         return self.board.query(topic, subject, consumer=component)
-
-    # -- emit phase ------------------------------------------------------------
-
-    def should_emit(self, path: str) -> bool:
-        return path not in self._hits
-
-    def adopt(self, component: GeneratorComponent, container: ArtifactContainer) -> None:
-        """Register a fully built container for the component's claimed path."""
-        self._require_phase("emit", "adopt")
-        self._check_ownership(component, container.path)
-        if container.component != component.id:
-            raise EngineError(
-                f"container for {container.path!r} was built for {container.component!r}, "
-                f"not {component.id!r}"
-            )
-        if container.path in self.containers:
-            raise EngineError(f"artifact {container.path!r} emitted twice")
-        self.containers[container.path] = container
-
-    def _check_ownership(self, component: GeneratorComponent, path: str) -> None:
-        holder = self.board.claims.get(path)
-        if holder != component.id:
-            raise EngineError(
-                f"component {component.id!r} emits {path!r} "
-                + ("without a claim" if holder is None else f"claimed by {holder!r}")
-            )
 
     def _require_phase(self, phase: str, what: str) -> None:
         if self.phase != phase:
@@ -560,16 +540,6 @@ def _gate(stage: str, ctx: GenContext) -> tuple[Violation, ...]:
     """The violations that stop the run once ``stage`` has run its behaviors."""
     if stage == "restrict":
         return check_context_conditions(ctx.diagram, ctx.conditions).violations
-    if stage == "emit":
-        return tuple(
-            Violation(
-                GEN_EMIT,
-                (meta.component, path),
-                f"artifact {path!r} was claimed by {meta.component!r} but never emitted",
-            )
-            for path, meta in sorted(ctx.claim_meta.items())
-            if ctx.should_emit(path) and path not in ctx.containers
-        )
     if stage == "syntax":
         violations = []
         for path, container in sorted(ctx.containers.items()):
@@ -584,6 +554,20 @@ def _gate(stage: str, ctx: GenContext) -> tuple[Violation, ...]:
     if stage == "hooks":
         return resolve_hooks(ctx.board, ctx.mode).violations
     return ()
+
+
+def _build(ctx: GenContext, hits: Collection[str]) -> None:
+    """Build the container of every claim not in ``hits``, in claim order."""
+    for path, meta in ctx.claim_meta.items():
+        if path in hits:
+            continue
+        container = meta.build()
+        if container.path != path or container.component != meta.component:
+            raise EngineError(
+                f"the builder of {path!r}, claimed by {meta.component!r}, returned "
+                f"{container.path!r} built for {container.component!r}"
+            )
+        ctx.containers[path] = container
 
 
 def _run_engine(
@@ -601,15 +585,16 @@ def _run_engine(
     keys: dict[str, str] = {}
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
 
-    # The syntax and hook stages run no behaviors, only their gates.
+    # The syntax and hook stages run no behaviors, only their gates. Builders run
+    # in the syntax stage, so a builder that claims or publishes is refused.
     for stage in (*PHASES, "syntax", "hooks"):
-        if stage == "emit":
+        ctx.phase = stage
+        if stage == "syntax":
             snapshot = _scan(out)
             old_trace = None if snapshot.get(TRACE_FILE, _OTHER) < 0 else _read(out, TRACE_FILE)
             if cache is not None:
                 keys, hits = _lookup_cache(cache, composed, ctx, out, snapshot, old_trace)
-                ctx._hits = frozenset(hits)
-        ctx.phase = stage
+            _build(ctx, hits)
         try:
             for step in steps:
                 if step.phase == stage:
@@ -630,9 +615,8 @@ def _run_engine(
             return report, cache if cache is not None else GenCache()
 
     # Assemble every output byte in memory before touching the filesystem.
-    fresh = [c for path, c in ctx.containers.items() if path not in hits]
-    files = {c.path: c.content() for c in fresh}
-    regions = {c.path: c.regions for c in fresh}
+    files = {path: c.content() for path, c in ctx.containers.items()}
+    regions = {path: c.regions for path, c in ctx.containers.items()}
     for path, (_, hit_regions) in hits.items():
         regions[path] = hit_regions
     trace = TraceIndex(regions)
@@ -643,12 +627,12 @@ def _run_engine(
     same = _same_on_disk(out, files, snapshot, old_trace)
     if len(same) < len(files) or _strays(snapshot, ours):
         if snapshot.get(TRACE_FILE, _DIR) == _DIR:  # no trace.map; a folder of that name is none
-            _check_replaceable(out, ours)
+            _check_replaceable(out, snapshot, ours)
         changed = {path: text for path, text in files.items() if path not in same}
         _atomic_swap(out, changed, [*hits, *same])
 
     report = GenerationReport(
-        written=tuple(sorted(c.path for c in fresh)),
+        written=tuple(sorted(ctx.containers)),
         skipped_cache_hits=tuple(sorted(hits)),
         facts_count=len(board.facts),
         violations=ValidationReport(),
@@ -801,13 +785,13 @@ def recover_interrupted_swap(out_dir: str | Path) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def _check_replaceable(out: str, ours: Collection[str]) -> None:
+def _check_replaceable(out: str, snapshot: Mapping[str, int], ours: Collection[str]) -> None:
     """Refuse to replace a directory that genline did not write.
 
     An earlier output has a trace.map. Without one (it may have been deleted),
     a stray other than a folder must sit at a path this run writes or links.
+    ``snapshot`` is the run's scan of ``out``.
     """
-    snapshot = _scan(out)
     for path in _strays(snapshot, ours):
         if snapshot[path] != _DIR and path not in ours:
             why = f"has no {TRACE_FILE} and holds {path!r}, which generation does not write"
@@ -831,7 +815,7 @@ def incremental_generate(
     spec: VariantSpec,
     cache: GenCache,
 ) -> tuple[GenerationReport, GenCache]:
-    """Like generate, but skip emitting artifacts whose cache key is unchanged.
+    """Like generate, but skip building artifacts whose cache key is unchanged.
 
     Outputs are byte-identical to a cold run; the returned cache reflects the
     new state. On an aborted run the input cache is returned unchanged.

@@ -6,11 +6,15 @@ Five components over the built-in feature model:
                  rejects names that are keywords of the target language.
   FeatureGuard   always on; rejects input constructs whose feature is off.
   Types          realizes Types/Class/Enum/Interface/DefaultConstructor;
-                 emits one artifact per type plus provider interfaces for
+                 builds one artifact per type plus provider interfaces for
                  run-time or hybrid binding.
-  Builder        realizes Builder; emits a fluent builder per class.
-  Factory        realizes Factory; emits one factory with a creation method
+  Builder        realizes Builder; builds a fluent builder per class.
+  Factory        realizes Factory; builds one factory with a creation method
                  per class, delegating to providers depending on the mode.
+
+A declare behavior claims each artifact with its builder, a call of a public
+``*_artifact`` or ``*_emit`` function that the engine makes only on a cache
+miss. A builder looks that function up in this module when it runs.
 
 Feature selection picks components (global variability); each component's
 options and variation points tune its output (local variability). Builder and
@@ -240,8 +244,12 @@ def interface_artifact(diagram_name: str, decl: InterfaceDecl) -> ArtifactContai
 
 def _types_declare_classes(ctx: GenContext, comp: GeneratorComponent) -> None:
     options = ctx.options(comp)
+    vps = ctx.vps(comp)
     for cls in ctx.diagram.classes():
-        ctx.claim(comp, f"{cls.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(cls)}")
+        ctx.claim(
+            comp, f"{cls.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(cls)}",
+            lambda cls=cls: class_artifact(ctx.diagram.name, cls, options, vps),
+        )
         ctx.publish(
             comp,
             "type.generated",
@@ -254,13 +262,19 @@ def _types_declare_classes(ctx: GenContext, comp: GeneratorComponent) -> None:
 
 def _types_declare_enums(ctx: GenContext, comp: GeneratorComponent) -> None:
     for decl in ctx.diagram.enums():
-        ctx.claim(comp, f"{decl.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(decl)}")
+        ctx.claim(
+            comp, f"{decl.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(decl)}",
+            lambda decl=decl: enum_artifact(ctx.diagram.name, decl),
+        )
         ctx.publish(comp, "type.generated", decl.name, {"kind": "enum", "tags": ""})
 
 
 def _types_declare_interfaces(ctx: GenContext, comp: GeneratorComponent) -> None:
     for decl in ctx.diagram.interfaces():
-        ctx.claim(comp, f"{decl.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(decl)}")
+        ctx.claim(
+            comp, f"{decl.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(decl)}",
+            lambda decl=decl: interface_artifact(ctx.diagram.name, decl),
+        )
         ctx.publish(comp, "type.generated", decl.name, {"kind": "interface", "tags": ""})
 
 
@@ -268,36 +282,11 @@ def _types_declare_providers(ctx: GenContext, comp: GeneratorComponent) -> None:
     if ctx.mode not in LATE_BINDING_MODES:
         return
     for cls in ctx.diagram.classes():
-        ctx.claim(comp, f"{cls.name}Provider.oo", f"{ctx.diagram.name}/provider/{cls.name}")
+        ctx.claim(
+            comp, f"{cls.name}Provider.oo", f"{ctx.diagram.name}/provider/{cls.name}",
+            lambda cls=cls: provider_artifact(ctx.diagram.name, cls),
+        )
         ctx.publish(comp, "hook.provided", f"{cls.name}Provider")
-
-
-def _types_emit_classes(ctx: GenContext, comp: GeneratorComponent) -> None:
-    options = ctx.options(comp)
-    vps = ctx.vps(comp)
-    for cls in ctx.diagram.classes():
-        if ctx.should_emit(f"{cls.name}.oo"):
-            ctx.adopt(comp, class_artifact(ctx.diagram.name, cls, options, vps))
-
-
-def _types_emit_enums(ctx: GenContext, comp: GeneratorComponent) -> None:
-    for decl in ctx.diagram.enums():
-        if ctx.should_emit(f"{decl.name}.oo"):
-            ctx.adopt(comp, enum_artifact(ctx.diagram.name, decl))
-
-
-def _types_emit_interfaces(ctx: GenContext, comp: GeneratorComponent) -> None:
-    for decl in ctx.diagram.interfaces():
-        if ctx.should_emit(f"{decl.name}.oo"):
-            ctx.adopt(comp, interface_artifact(ctx.diagram.name, decl))
-
-
-def _types_emit_providers(ctx: GenContext, comp: GeneratorComponent) -> None:
-    if ctx.mode not in LATE_BINDING_MODES:
-        return
-    for cls in ctx.diagram.classes():
-        if ctx.should_emit(f"{cls.name}Provider.oo"):
-            ctx.adopt(comp, provider_artifact(ctx.diagram.name, cls))
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +322,18 @@ def builder_emit(
     return container
 
 
-def _builder_classes(ctx: GenContext, comp: GeneratorComponent) -> list[ClassDecl]:
-    chosen = []
-    for cls in ctx.diagram.classes():
-        if "nobuilder" in cls.tags:
-            continue
-        if not ctx.facts(comp, "type.generated", cls.name):
-            continue
-        chosen.append(cls)
-    return chosen
-
-
 def _builder_declare(ctx: GenContext, comp: GeneratorComponent) -> None:
-    for cls in _builder_classes(ctx, comp):
+    options = ctx.options(comp)
+    vps = ctx.vps(comp)
+    for cls in ctx.diagram.classes():
+        if "nobuilder" in cls.tags or not ctx.facts(comp, "type.generated", cls.name):
+            continue
         ctx.claim(
-            comp,
-            f"{cls.name}Builder.oo",
-            f"{ctx.diagram.name}/{canonical_type_text(cls)}",
+            comp, f"{cls.name}Builder.oo", f"{ctx.diagram.name}/{canonical_type_text(cls)}",
+            lambda cls=cls: builder_emit(
+                ctx.diagram.name, cls, ctx.facts(comp, "constructor.generated", cls.name),
+                options, vps,
+            ),
             fact_subjects=(cls.name,),
         )
         for attr in cls.attributes:
@@ -357,16 +341,6 @@ def _builder_declare(ctx: GenContext, comp: GeneratorComponent) -> None:
                 comp, "method.generated", f"{cls.name}Builder.with{_upper_first(attr.name)}"
             )
         ctx.publish(comp, "method.generated", f"{cls.name}Builder.build")
-
-
-def _builder_emit(ctx: GenContext, comp: GeneratorComponent) -> None:
-    options = ctx.options(comp)
-    vps = ctx.vps(comp)
-    for cls in _builder_classes(ctx, comp):
-        if not ctx.should_emit(f"{cls.name}Builder.oo"):
-            continue
-        facts = ctx.facts(comp, "constructor.generated", cls.name)
-        ctx.adopt(comp, builder_emit(ctx.diagram.name, cls, facts, options, vps))
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +402,20 @@ def factory_emit(
 
 
 def _factory_declare(ctx: GenContext, comp: GeneratorComponent) -> None:
-    facts = ctx.facts(comp, "type.generated")
-    classes = _factory_classes(facts)
-    pattern = ctx.vps(comp)["factory_method_prefix"]
-    ctx.claim(comp, f"{ctx.diagram.name}Factory.oo", f"{ctx.diagram.name}/factory")
+    classes = _factory_classes(ctx.facts(comp, "type.generated"))
+    vps = ctx.vps(comp)
+    pattern = vps["factory_method_prefix"]
+    ctx.claim(
+        comp, f"{ctx.diagram.name}Factory.oo", f"{ctx.diagram.name}/factory",
+        lambda: factory_emit(
+            ctx.diagram, ctx.facts(comp, "type.generated"), ctx.options(comp), vps, ctx.mode
+        ),
+    )
     for name, _ in classes:
         method = pattern.replace("%s", name)
         ctx.publish(comp, "method.generated", f"{ctx.diagram.name}Factory.{method}")
     for name in _delegated(classes, ctx.mode):
         ctx.publish(comp, "hook.required", f"{name}Provider")
-
-
-def _factory_emit(ctx: GenContext, comp: GeneratorComponent) -> None:
-    if not ctx.should_emit(f"{ctx.diagram.name}Factory.oo"):
-        return
-    facts = ctx.facts(comp, "type.generated")
-    ctx.adopt(
-        comp, factory_emit(ctx.diagram, facts, ctx.options(comp), ctx.vps(comp), ctx.mode)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +470,6 @@ def _types_component() -> GeneratorComponent:
                 _types_declare_interfaces,
             ),
             Behavior("declare_providers", "declare", TRUE, _types_declare_providers),
-            Behavior("emit_classes", "emit", TRUE, _types_emit_classes),
-            Behavior("emit_enums", "emit", Atom("Types.generate_enums"), _types_emit_enums),
-            Behavior(
-                "emit_interfaces",
-                "emit",
-                Atom("Types.generate_interfaces"),
-                _types_emit_interfaces,
-            ),
-            Behavior("emit_providers", "emit", TRUE, _types_emit_providers),
         ),
         forced=(
             ForcedOption("DefaultConstructor", "default_constructor", True),
@@ -532,7 +493,6 @@ def _builder_component() -> GeneratorComponent:
         ),
         behaviors=(
             Behavior("declare_builders", "declare", TRUE, _builder_declare),
-            Behavior("emit_builders", "emit", TRUE, _builder_emit),
         ),
     )
 
@@ -555,7 +515,6 @@ def _factory_component() -> GeneratorComponent:
         ),
         behaviors=(
             Behavior("declare_factory", "declare", TRUE, _factory_declare),
-            Behavior("emit_factory", "emit", TRUE, _factory_emit),
         ),
     )
 

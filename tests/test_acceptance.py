@@ -35,7 +35,7 @@ from genline.components import (
 from genline.composition import compose_all
 from genline.featuremodel import Configuration
 from genline.formula import TRUE
-from genline.generation import GenCache
+from genline.generation import ArtifactContainer, GenCache
 from helpers import (
     ALL_FEATURES,
     COVERING_CDL,
@@ -194,7 +194,7 @@ def test_acceptance_4_syntax_gate_keeps_prior_outputs(announce, tmp_path):
 def test_acceptance_5_second_claim_on_same_artifact_refused(announce, tmp_path):
     with announce(5, "a competing claim on Types' artifact names both components, writes nothing"):
         def declare_squat(ctx, comp):
-            ctx.claim(comp, "Person.oo", "squat")
+            ctx.claim(comp, "Person.oo", "squat", lambda: ArtifactContainer("Person.oo", comp.id))
 
         squatter = GeneratorComponent(
             id="Squatter",
@@ -299,7 +299,7 @@ def test_acceptance_8_binding_modes(announce, tmp_path):
                     behaviors=tuple(
                         b
                         for b in comp.behaviors
-                        if b.name not in ("declare_providers", "emit_providers")
+                        if b.name != "declare_providers"
                     ),
                 )
             doctored.append(comp)

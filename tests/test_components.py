@@ -90,13 +90,13 @@ def test_registry_rejects_duplicate_ids():
 
 
 def test_registry_enforces_phase_discipline():
-    emit_behavior = Behavior("emit_x", "emit", TRUE, _noop)
-    with pytest.raises(RegistrationError, match="may not run 'emit'"):
-        build_registry([_component(kind="front_end", behaviors=(emit_behavior,))], MODEL)
+    declare_behavior = Behavior("d", "declare", TRUE, _noop)
+    with pytest.raises(RegistrationError, match="may not run 'declare'"):
+        build_registry([_component(kind="front_end", behaviors=(declare_behavior,))], MODEL)
     restrict_behavior = Behavior("r", "restrict", TRUE, _noop)
     with pytest.raises(RegistrationError, match="may not run 'restrict'"):
         build_registry([_component(kind="back_end", behaviors=(restrict_behavior,))], MODEL)
-    for phase in ("bogus", "transform"):
+    for phase in ("bogus", "transform", "emit"):
         with pytest.raises(RegistrationError, match="unknown phase"):
             build_registry(
                 [_component(behaviors=(Behavior("b", phase, TRUE, _noop),))], MODEL

@@ -76,12 +76,6 @@ def test_compose_reference_full_schedule():
         ("declare", "Types", "declare_providers"),
         ("declare", "Builder", "declare_builders"),
         ("declare", "Factory", "declare_factory"),
-        ("emit", "Types", "emit_classes"),
-        ("emit", "Types", "emit_enums"),
-        ("emit", "Types", "emit_interfaces"),
-        ("emit", "Types", "emit_providers"),
-        ("emit", "Builder", "emit_builders"),
-        ("emit", "Factory", "emit_factory"),
     ]
     # Producers precede consumers; lexicographic tie between Builder and Factory.
     declare_ids = [s.component_id for s in composed.full_schedule if s.phase == "declare"]
@@ -192,12 +186,12 @@ def test_schedule_filters_by_applicability():
     composed = compose_reference(base + ("Enum",))
     with_enum = _schedule(composed, make_spec(base + ("Enum",), "out"))
     names = [s.behavior for s in with_enum]
-    assert "declare_enums" in names and "emit_enums" in names
+    assert "declare_enums" in names
 
     composed = compose_reference(base)
     without = _schedule(composed, make_spec(base, "out"))
     names = [s.behavior for s in without]
-    assert "declare_enums" not in names and "emit_enums" not in names
+    assert "declare_enums" not in names
     assert "declare_classes" in names
 
 

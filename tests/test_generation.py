@@ -9,14 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genline.classdiagram import ClassDiagram, parse_class_diagram
+from genline.classdiagram import ClassDiagram, canonical_type_text, parse_class_diagram
 from genline.components import Behavior, ComponentInterface, GeneratorComponent
 from genline.composition import compose_all
 from genline import ootl
 from genline.formula import TRUE
 from genline.generation import (
     GEN_CLAIM,
-    GEN_EMIT,
     GEN_HOOK,
     GEN_SYNTAX,
     TRACE_FILE,
@@ -69,6 +68,12 @@ def _mk(cid, behaviors=(), *, produces=(), consumes=(), concerns=()):
 
 
 EMPTY_DIAGRAM = ClassDiagram("D", ())
+
+
+def _unit(path, component, text="package P;\nclass A {\n}\n"):
+    container = ArtifactContainer(path, component)
+    container.append(text)
+    return container
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +206,10 @@ def test_syntax_gate_reports_the_position_check_unit_finds(tmp_path):
     error = ootl.check_unit(bad.content())
     assert (error.line, error.column) == (3, 1)
 
-    def emit(ctx, comp):
-        ctx.adopt(comp, bad)
+    def declare(ctx, comp):
+        ctx.claim(comp, "B.oo", "b", lambda: bad)
 
-    comp = _mk(
-        "C",
-        (
-            Behavior("declare_b", "declare", TRUE, lambda ctx, c: ctx.claim(c, "B.oo", "b")),
-            Behavior("emit_b", "emit", TRUE, emit),
-        ),
-    )
+    comp = _mk("C", (Behavior("declare_b", "declare", TRUE, declare),))
     spec = make_spec(("CD2Java",), tmp_path / "out")
     report = generate(compose_all([comp]), EMPTY_DIAGRAM, spec)
     assert report.failed_stage == "syntax"
@@ -332,19 +331,15 @@ def test_resolve_hooks():
 
 def test_generate_minimal_component(tmp_path):
     def declare(ctx, comp):
-        ctx.claim(comp, "A.oo", "unit/A")
-
-    def emit(ctx, comp):
-        if ctx.should_emit("A.oo"):
+        def build():
             container = ArtifactContainer("A.oo", comp.id)
             container.append("package P;\n")
             container.append("class A {\n}\n")
-            ctx.adopt(comp, container)
+            return container
 
-    comp = _mk(
-        "Simple",
-        (Behavior("declare_a", "declare", TRUE, declare), Behavior("emit_a", "emit", TRUE, emit)),
-    )
+        ctx.claim(comp, "A.oo", "unit/A", build)
+
+    comp = _mk("Simple", (Behavior("declare_a", "declare", TRUE, declare),))
     out = tmp_path / "out"
     report = generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), out))
     assert report.ok
@@ -416,7 +411,7 @@ def test_generate_restrict_failure_writes_nothing(tmp_path):
 
 def test_generate_claim_conflict_names_both(tmp_path):
     def declare(ctx, comp):
-        ctx.claim(comp, "Person.oo", "squat")
+        ctx.claim(comp, "Person.oo", "squat", lambda: _unit("Person.oo", comp.id))
 
     squatter = _mk("Squatter", (Behavior("declare_squat", "declare", TRUE, declare),))
     components = list(compose_reference(FULL_GEN).components) + [squatter]
@@ -428,16 +423,6 @@ def test_generate_claim_conflict_names_both(tmp_path):
     assert report.violations.codes() == (GEN_CLAIM,)
     violation = report.violations.violations[0]
     assert violation.subjects == ("Squatter", "Types")
-    assert not out.exists()
-
-
-def test_generate_claimed_but_never_emitted(tmp_path):
-    comp = _mk("Lazy", (Behavior("declare_a", "declare", TRUE, lambda ctx, c: ctx.claim(c, "A.oo", "a")),))
-    out = tmp_path / "out"
-    report = generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), out))
-    assert report.failed_stage == "emit"
-    assert report.violations.codes() == (GEN_EMIT,)
-    assert report.violations.violations[0].subjects == ("Lazy", "A.oo")
     assert not out.exists()
 
 
@@ -459,18 +444,11 @@ def test_generate_syntax_gate_preserves_previous_output(tmp_path):
 
 def test_generate_hook_failure_blocks_output(tmp_path):
     def declare(ctx, comp):
-        ctx.claim(comp, "A.oo", "a")
+        ctx.claim(comp, "A.oo", "a", lambda: _unit("A.oo", comp.id))
         ctx.publish(comp, "hook.required", "MissingProvider")
 
-    def emit(ctx, comp):
-        container = ArtifactContainer("A.oo", comp.id)
-        container.append("package P;\nclass A {\n}\n")
-        ctx.adopt(comp, container)
-
     comp = _mk(
-        "Needy",
-        (Behavior("declare_a", "declare", TRUE, declare), Behavior("emit_a", "emit", TRUE, emit)),
-        produces=("hook.required",),
+        "Needy", (Behavior("declare_a", "declare", TRUE, declare),), produces=("hook.required",)
     )
     out = tmp_path / "out"
     report = generate(
@@ -501,67 +479,39 @@ def test_generate_replaces_stale_outputs(tmp_path):
 # ---------------------------------------------------------------------------
 # Engine, context discipline
 
-def test_phase_discipline_is_enforced(tmp_path):
-    def bad_emit(ctx, comp):
-        ctx.claim(comp, "A.oo", "a")  # claims are declare-phase only
-
-    comp = _mk("Bad", (Behavior("emit_a", "emit", TRUE, bad_emit),))
-    with pytest.raises(EngineError, match="only allowed in the declare phase"):
-        generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o"))
-
-
-def test_emit_requires_a_claim(tmp_path):
-    def emit(ctx, comp):
-        ctx.adopt(comp, ArtifactContainer("A.oo", comp.id))
-
-    comp = _mk("NoClaim", (Behavior("emit_a", "emit", TRUE, emit),))
-    with pytest.raises(EngineError, match="without a claim"):
-        generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o"))
-
-
-def test_emit_respects_other_claims(tmp_path):
+@pytest.mark.parametrize("misuse", ["claim", "publish"])
+def test_phase_discipline_is_enforced(tmp_path, misuse):
+    # Builders run after the declare phase, so a builder may neither claim nor publish.
     def declare(ctx, comp):
-        ctx.claim(comp, "A.oo", "a")
+        def build():
+            if misuse == "claim":
+                ctx.claim(comp, "B.oo", "b", lambda: _unit("B.oo", comp.id))
+            else:
+                ctx.publish(comp, "method.generated", "A.f")
+            return _unit("A.oo", comp.id)
 
-    def emit_other(ctx, comp):
-        ctx.adopt(comp, ArtifactContainer("A.oo", comp.id))
-
-    owner = _mk("AOwner", (Behavior("declare_a", "declare", TRUE, declare),))
-    thief = _mk("Thief", (Behavior("emit_steal", "emit", TRUE, emit_other),))
-    with pytest.raises(EngineError, match="claimed by 'AOwner'"):
-        generate(
-            compose_all([owner, thief]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o")
-        )
-
-
-def test_adopt_checks_builder_identity_and_double_emit(tmp_path):
-    def declare(ctx, comp):
-        ctx.claim(comp, "A.oo", "a")
-
-    def emit_foreign(ctx, comp):
-        container = ArtifactContainer("A.oo", "SomeoneElse")
-        container.append("package P;\nclass A {\n}\n")
-        ctx.adopt(comp, container)
+        ctx.claim(comp, "A.oo", "a", build)
 
     comp = _mk(
-        "Owner",
-        (Behavior("declare_a", "declare", TRUE, declare), Behavior("emit_a", "emit", TRUE, emit_foreign)),
+        "Bad", (Behavior("declare_a", "declare", TRUE, declare),), produces=("method.generated",)
     )
-    with pytest.raises(EngineError, match="was built for 'SomeoneElse'"):
-        generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o"))
+    out = tmp_path / "o"
+    with pytest.raises(EngineError, match=f"{misuse} is only allowed in the declare phase"):
+        generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), out))
+    assert not out.exists()
 
-    def emit_twice(ctx, comp):
-        for _ in range(2):
-            container = ArtifactContainer("A.oo", "Owner")
-            container.append("package P;\nclass A {\n}\n")
-            ctx.adopt(comp, container)
 
-    comp = _mk(
-        "Owner",
-        (Behavior("declare_a", "declare", TRUE, declare), Behavior("emit_a", "emit", TRUE, emit_twice)),
-    )
-    with pytest.raises(EngineError, match="emitted twice"):
-        generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o"))
+@pytest.mark.parametrize("built", [("B.oo", "Owner"), ("A.oo", "SomeoneElse")])
+def test_a_builder_must_return_its_claims_container(tmp_path, built):
+    def declare(ctx, comp):
+        ctx.claim(comp, "A.oo", "a", lambda: _unit(*built))
+
+    comp = _mk("Owner", (Behavior("declare_a", "declare", TRUE, declare),))
+    out = tmp_path / "o"
+    wrong = "'A.oo', claimed by 'Owner', returned '{}' built for '{}'".format(*built)
+    with pytest.raises(EngineError, match=wrong):
+        generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), out))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -572,17 +522,9 @@ def test_claim_paths_stay_inside_the_output(tmp_path, claimed):
     path = claimed.format(tmp=tmp_path)
 
     def declare(ctx, comp):
-        ctx.claim(comp, path, "hostile")
+        ctx.claim(comp, path, "hostile", lambda: _unit(path, comp.id))
 
-    def emit(ctx, comp):
-        container = ArtifactContainer(path, comp.id)
-        container.append("package P;\nclass A {\n}\n")
-        ctx.adopt(comp, container)
-
-    hostile = _mk(
-        "Hostile",
-        (Behavior("declare_h", "declare", TRUE, declare), Behavior("emit_h", "emit", TRUE, emit)),
-    )
+    hostile = _mk("Hostile", (Behavior("declare_h", "declare", TRUE, declare),))
     composed = compose_reference(FULL_GEN)
     spec = make_spec(FULL_GEN, tmp_path / "out")
     assert generate(composed, _small_diagram(), spec).ok
@@ -594,7 +536,7 @@ def test_claim_paths_stay_inside_the_output(tmp_path, claimed):
 
 def test_publish_requires_declared_topic(tmp_path):
     def declare(ctx, comp):
-        ctx.claim(comp, "A.oo", "a")
+        ctx.claim(comp, "A.oo", "a", lambda: _unit("A.oo", comp.id))
         ctx.publish(comp, "method.generated", "A.f")
 
     comp = _mk("Undeclared", (Behavior("declare_a", "declare", TRUE, declare),))
@@ -800,19 +742,14 @@ def test_incremental_reuses_artifacts_in_subdirectories(tmp_path):
 
     def declare(ctx, comp):
         for path, body in bodies.items():
-            ctx.claim(comp, path, f"unit/{body}")
+            ctx.claim(
+                comp,
+                path,
+                f"unit/{body}",
+                lambda p=path, b=body: _unit(p, comp.id, "package P;\n" + b),
+            )
 
-    def emit(ctx, comp):
-        for path, body in bodies.items():
-            if ctx.should_emit(path):
-                container = ArtifactContainer(path, comp.id)
-                container.append("package P;\n" + body)
-                ctx.adopt(comp, container)
-
-    comp = _mk(
-        "Nested",
-        (Behavior("declare_n", "declare", TRUE, declare), Behavior("emit_n", "emit", TRUE, emit)),
-    )
+    comp = _mk("Nested", (Behavior("declare_n", "declare", TRUE, declare),))
     composed = compose_all([comp])
     out = tmp_path / "out"
     spec = make_spec(("CD2Java",), out)
@@ -833,6 +770,39 @@ def test_incremental_reuses_artifacts_in_subdirectories(tmp_path):
     assert report.written == ()
     assert sorted(p.name for p in (out / "p").iterdir()) == ["q"]
     assert (out / "p" / "q" / "A.oo").stat().st_ino == nested
+
+
+def test_builders_run_only_for_misses(tmp_path):
+    built = []
+
+    def declare(ctx, comp):
+        for cls in ctx.diagram.classes():
+            def build(cls=cls):
+                built.append(f"{cls.name}.oo")
+                fields = "".join(f"  {a.type_name} {a.name};\n" for a in cls.attributes)
+                text = f"package P;\nclass {cls.name} {{\n{fields}}}\n"
+                return _unit(f"{cls.name}.oo", comp.id, text)
+
+            ctx.claim(comp, f"{cls.name}.oo", canonical_type_text(cls), build)
+
+    composed = compose_all([_mk("Counted", (Behavior("declare_c", "declare", TRUE, declare),))])
+    spec = make_spec(("CD2Java",), tmp_path / "out")
+    assert generate(composed, _small_diagram(), spec).ok
+    assert built == ["Person.oo", "Receipt.oo"]
+
+    built.clear()
+    report, cache = incremental_generate(composed, _small_diagram(), spec, GenCache())
+    assert tuple(built) == report.written == ("Person.oo", "Receipt.oo")
+
+    built.clear()
+    report, cache = incremental_generate(composed, _small_diagram(), spec, cache)
+    assert (built, report.written) == ([], ())
+    assert report.skipped_cache_hits == ("Person.oo", "Receipt.oo")
+
+    edited = parse_class_diagram(SMALL_CDL.replace("total: int;", "total: int; paid: int;"))
+    report, _ = incremental_generate(composed, edited, spec, cache)
+    assert tuple(built) == report.written == ("Receipt.oo",)
+    assert report.skipped_cache_hits == ("Person.oo",)
 
 
 def test_incremental_trace_matches_cold_trace(tmp_path):
