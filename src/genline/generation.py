@@ -2,9 +2,9 @@
 
 The run is phased. Front-end behaviors restrict the input (context
 conditions); declare behaviors publish facts on the blackboard and claim
-artifact paths, each claim with the builder of its artifact container. The
-engine then calls the builder of every claim whose cached output cannot be
-reused, and of no other. Nothing touches the filesystem until every built
+artifact paths, each path once and with the builder of its artifact
+container. The engine then calls the builder of every claim whose cached
+output cannot be reused, and of no other. Nothing touches the filesystem until every built
 container has passed syntax validation and every required hook is resolved;
 then all files are written in one atomic stage-and-swap. Incremental runs
 reuse artifacts whose cache key (input element, component, options, consumed
@@ -398,9 +398,15 @@ class GenContext:
         build: Callable[[], ArtifactContainer],
         fact_subjects: Iterable[str] | None = None,
     ) -> None:
-        """Claim ``path``; the engine calls ``build()`` for its container on a cache miss."""
+        """Claim ``path``; the engine calls ``build()`` for its container on a cache miss.
+
+        A path has one builder: claiming it again, even by the same component,
+        raises EngineError rather than replacing the first builder.
+        """
         self._require_phase("declare", "claim")
         claim_artifact(self.board, path, component.id)
+        if path in self.claim_meta:
+            raise EngineError(f"artifact {path!r} claimed twice by {component.id!r}")
         subjects = None if fact_subjects is None else tuple(sorted(set(fact_subjects)))
         self.claim_meta[path] = _ClaimMeta(component.id, element_key, subjects, build)
 

@@ -514,6 +514,38 @@ def test_a_builder_must_return_its_claims_container(tmp_path, built):
     assert not out.exists()
 
 
+def test_a_path_claimed_twice_by_one_component_is_refused(tmp_path):
+    built: list[str] = []
+
+    def declare(ctx, comp):
+        for text in ("first", "second"):
+            ctx.claim(comp, "A.oo", "a", lambda t=text: built.append(t) or _unit("A.oo", comp.id))
+
+    comp = _mk("Owner", (Behavior("declare_a", "declare", TRUE, declare),))
+    out = tmp_path / "o"
+    with pytest.raises(EngineError, match="artifact 'A.oo' claimed twice by 'Owner'"):
+        generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), out))
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["run_time", "hybrid"])
+@pytest.mark.parametrize(
+    "kind", ["class PersonProvider { id: int; }", "interface PersonProvider { id(): int; }",
+             "enum PersonProvider { A, B }"],
+)
+def test_a_type_named_like_a_provider_is_refused(tmp_path, mode, kind):
+    # In run_time and hybrid mode Types claims "<Class>Provider.oo" for each class,
+    # so a user type named PersonProvider would otherwise be replaced by the provider.
+    diagram = parse_class_diagram(
+        "classdiagram D {\n  class Person { name: string; }\n  " + kind + "\n}\n"
+    )
+    features = ("CD2Java", "Types", "Class", "Interface", "Enum")
+    out = tmp_path / "out"
+    with pytest.raises(EngineError, match="artifact 'PersonProvider.oo' claimed twice by 'Types'"):
+        generate(compose_reference(features), diagram, make_spec(features, out, mode=mode))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "claimed",
     ["../escape.oo", "trace.map", "gencache.map", "{tmp}/abs.oo", "./A.oo", "p//q.oo", "p/", ".", ""],
