@@ -72,12 +72,9 @@ from .generation import (
     GenerationIOError,
     GenerationReport,
     TraceIndex,
-    TraceQueryResult,
-    claim_artifact,
     generate,
     incremental_generate,
     resolve_hooks,
-    trace_query,
 )
 from .lexing import TextSyntaxError
 from .reference import build_reference_registry, reference_components, reference_feature_model
@@ -124,7 +121,6 @@ __all__ = [
     "SymbolTable",
     "TextSyntaxError",
     "TraceIndex",
-    "TraceQueryResult",
     "ValidationReport",
     "VariantSpec",
     "VariationPoint",
@@ -134,7 +130,6 @@ __all__ = [
     "canonical_type_text",
     "check_bindings",
     "check_context_conditions",
-    "claim_artifact",
     "compose",
     "compose_all",
     "core_conditions",
@@ -152,7 +147,6 @@ __all__ = [
     "resolve_components",
     "resolve_hooks",
     "schedule",
-    "trace_query",
     "validate_composition",
     "validate_configuration",
 ]

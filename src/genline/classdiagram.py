@@ -39,8 +39,6 @@ CC_NO_CYCLES = "CC-03"
 CC_TYPES_RESOLVE = "CC-04"
 CC_IMPLEMENTS_IFACE = "CC-05"
 
-CdlSyntaxError = TextSyntaxError
-
 
 @dataclass(frozen=True)
 class Attribute:
@@ -249,19 +247,13 @@ def canonical_type_text(decl: TypeDecl) -> str:
 # ---------------------------------------------------------------------------
 # Symbol table
 
-class UnknownTypeError(KeyError):
-    pass
-
-
 class SymbolTable:
-    """Maps every type name to its kind and declaration; builtins included."""
+    """Maps every type name to its kind; builtins included."""
 
     def __init__(self, diagram: ClassDiagram):
-        self._entries: dict[str, tuple[str, TypeDecl | None]] = {
-            name: ("builtin", None) for name in BUILTIN_TYPES
-        }
+        self._kinds: dict[str, str] = dict.fromkeys(BUILTIN_TYPES, "builtin")
         for decl in diagram.types:
-            if decl.name in self._entries:
+            if decl.name in self._kinds:
                 continue  # duplicates are reported by CC-01, first declaration wins
             if isinstance(decl, ClassDecl):
                 kind = "class"
@@ -269,20 +261,13 @@ class SymbolTable:
                 kind = "interface"
             else:
                 kind = "enum"
-            self._entries[decl.name] = (kind, decl)
-
-    def lookup(self, name: str) -> tuple[str, TypeDecl | None]:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise UnknownTypeError(name) from None
+            self._kinds[decl.name] = kind
 
     def kind_of(self, name: str) -> str | None:
-        entry = self._entries.get(name)
-        return entry[0] if entry else None
+        return self._kinds.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._kinds
 
 
 # ---------------------------------------------------------------------------

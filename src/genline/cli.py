@@ -44,7 +44,6 @@ from .generation import (
     generate,
     incremental_generate,
     recover_interrupted_swap,
-    trace_query,
 )
 from .lexing import TextSyntaxError
 from .report import ValidationReport
@@ -288,18 +287,18 @@ def _cmd_trace(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         raise UsageError(f"no trace map at {str(trace_path)!r}: {exc}") from exc
     trace = TraceIndex.from_text(text)
     if args.feature:
-        result = trace_query(trace, args.feature, kind="feature")
-        if result.kind == "unknown":
+        ranges = trace.by_feature.get(args.feature)
+        if ranges is None:
             print(f"unknown feature: {args.feature}", file=out)
             return EXIT_OK
-        for path, (start, end) in result.feature_ranges:
+        for path, (start, end) in ranges:
             print(f"{path}:{start}-{end}", file=out)
         return EXIT_OK
-    result = trace_query(trace, args.artifact, kind="artifact")
-    if result.kind == "unknown":
+    regions = trace.by_artifact.get(args.artifact)
+    if regions is None:
         print(f"unknown artifact: {args.artifact}", file=out)
         return EXIT_OK
-    for region in result.artifact_regions:
+    for region in regions:
         print(f"{region.start}-{region.end} {region.component} {','.join(region.features)}", file=out)
     return EXIT_OK
 

@@ -51,9 +51,6 @@ class FeatureModelError(Exception):
     """Structural problem in a feature model or an enumeration request."""
 
 
-FmlSyntaxError = TextSyntaxError
-
-
 @dataclass(frozen=True)
 class FeatureGroup:
     kind: str  # "xor" | "or"

@@ -25,7 +25,7 @@ import shutil
 import tempfile
 import uuid
 from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import ootl
@@ -94,7 +94,7 @@ class Fact:
 
 
 class Blackboard:
-    """Shared fact store plus artifact claims for one generation run.
+    """Shared fact store for one generation run.
 
     ``facts`` keeps publication order; every lookup goes through one index,
     topic -> subject -> producer -> fact.
@@ -102,17 +102,15 @@ class Blackboard:
 
     def __init__(self) -> None:
         self.facts: list[Fact] = []
-        self.claims: dict[str, str] = {}  # artifact path -> component id
         self._index: dict[str, dict[str, dict[str, Fact]]] = {}
 
     def publish(self, fact: Fact, producer: GeneratorComponent | None = None) -> None:
         if fact.topic not in FACT_TOPICS:
             raise BlackboardError(f"fact topic {fact.topic!r} is outside the ontology")
-        if producer is not None and fact.topic != "artifact.claimed":
-            if fact.topic not in producer.interface.produces:
-                raise BlackboardError(
-                    f"component {producer.id!r} does not declare producing {fact.topic!r}"
-                )
+        if producer is not None and fact.topic not in producer.interface.produces:
+            raise BlackboardError(
+                f"component {producer.id!r} does not declare producing {fact.topic!r}"
+            )
         by_producer = self._index.setdefault(fact.topic, {}).setdefault(fact.subject, {})
         existing = by_producer.get(fact.producer)
         if existing is not None:
@@ -143,29 +141,6 @@ class Blackboard:
             by_producer = by_subject.get(s, {})
             found.extend(by_producer[p] for p in sorted(by_producer))
         return tuple(found)
-
-
-def claim_artifact(board: Blackboard, path: str, component: str) -> None:
-    """Record that ``component`` will write ``path``; idempotent per pair.
-
-    Raises EngineError if the path is absolute, climbs out with "..", is not in
-    normal form (``./A.oo``, ``p//q.oo``, ``.``) or names one of the engine's own
-    files, and ClaimConflictError naming both components if the path is already
-    claimed by someone else. Publishes an artifact.claimed fact.
-    """
-    pure = PurePosixPath(path)
-    if str(pure) != path or pure.is_absolute() or ".." in pure.parts or path in (".", TRACE_FILE, CACHE_FILE):
-        raise EngineError(
-            f"component {component!r} claims {path!r}: an artifact path must be relative, "
-            f"in normal form, without '..', and not {TRACE_FILE!r} or {CACHE_FILE!r}"
-        )
-    holder = board.claims.get(path)
-    if holder is not None:
-        if holder == component:
-            return
-        raise ClaimConflictError(path, holder, component)
-    board.claims[path] = component
-    board.publish(Fact.make("artifact.claimed", component, path))
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +209,12 @@ class TraceIndex:
                         ranges.append((path, (region.start, region.end)))
         return {feat: tuple(ranges) for feat, ranges in sorted(by_feature.items())}
 
-    def to_lines(self) -> list[str]:
-        lines = []
-        for path, regions in self.by_artifact.items():
-            for region in regions:
-                feats = ",".join(region.features)
-                lines.append(f"{path}:{region.start}-{region.end} {region.component} {feats}")
-        return lines
-
     def to_text(self) -> str:
-        return "".join(line + "\n" for line in self.to_lines())
+        return "".join(
+            f"{path}:{region.start}-{region.end} {region.component} {','.join(region.features)}\n"
+            for path, regions in self.by_artifact.items()
+            for region in regions
+        )
 
     @staticmethod
     def from_text(text: str) -> "TraceIndex":
@@ -268,28 +239,6 @@ class TraceIndex:
                 TraceRegion(start=start, end=end, features=features, component=component)
             )
         return TraceIndex(regions)
-
-
-@dataclass(frozen=True)
-class TraceQueryResult:
-    kind: str  # "feature" | "artifact" | "unknown"
-    query: str
-    feature_ranges: tuple[tuple[str, tuple[int, int]], ...] = ()
-    artifact_regions: tuple[TraceRegion, ...] = ()
-
-
-def trace_query(trace: TraceIndex, query: str, kind: str) -> TraceQueryResult:
-    """Look up a feature id (kind "feature") or an artifact path (kind "artifact").
-
-    Unknown names produce an empty "unknown" result, not an error.
-    """
-    if kind not in ("feature", "artifact"):
-        raise ValueError(f"unknown query kind {kind!r}")
-    if kind == "artifact" and query in trace.by_artifact:
-        return TraceQueryResult("artifact", query, artifact_regions=trace.by_artifact[query])
-    if kind == "feature" and query in trace.by_feature:
-        return TraceQueryResult("feature", query, feature_ranges=trace.by_feature[query])
-    return TraceQueryResult("unknown", query)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +300,7 @@ class GenerationReport:
 
 @dataclass
 class _ClaimMeta:
-    component: str
+    component: GeneratorComponent
     element_key: str
     fact_subjects: tuple[str, ...] | None  # None = all consumed facts matter
     build: Callable[[], ArtifactContainer]
@@ -363,7 +312,6 @@ class GenContext:
     def __init__(
         self, diagram: ClassDiagram, spec: VariantSpec, bindings: Bindings, board: Blackboard
     ):
-        self.spec = spec
         self.mode = spec.mode
         self.selected = spec.configuration.selected
         self.diagram = diagram
@@ -400,15 +348,27 @@ class GenContext:
     ) -> None:
         """Claim ``path``; the engine calls ``build()`` for its container on a cache miss.
 
-        A path has one builder: claiming it again, even by the same component,
-        raises EngineError rather than replacing the first builder.
+        Raises EngineError if the path is absolute, has an empty, "." or ".."
+        part, or names one of the engine's own files. A path has one builder:
+        a claim by another component raises ClaimConflictError naming both, a
+        second claim by the same component EngineError. Publishes an
+        artifact.claimed fact.
         """
         self._require_phase("declare", "claim")
-        claim_artifact(self.board, path, component.id)
-        if path in self.claim_meta:
+        parts = path.split("/")
+        if "" in parts or "." in parts or ".." in parts or path in (TRACE_FILE, CACHE_FILE):
+            raise EngineError(
+                f"component {component.id!r} claims {path!r}: an artifact path must be relative, "
+                f"in normal form, without '..', and not {TRACE_FILE!r} or {CACHE_FILE!r}"
+            )
+        held = self.claim_meta.get(path)
+        if held is not None:
+            if held.component.id != component.id:
+                raise ClaimConflictError(path, held.component.id, component.id)
             raise EngineError(f"artifact {path!r} claimed twice by {component.id!r}")
         subjects = None if fact_subjects is None else tuple(sorted(set(fact_subjects)))
-        self.claim_meta[path] = _ClaimMeta(component.id, element_key, subjects, build)
+        self.claim_meta[path] = _ClaimMeta(component, element_key, subjects, build)
+        self.board.publish(Fact.make("artifact.claimed", component.id, path))
 
     def publish(
         self,
@@ -458,20 +418,15 @@ def resolve_hooks(board: Blackboard, mode: str) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Engine
 
-def _cache_key(
-    meta: _ClaimMeta,
-    composed: ComposedGenerator,
-    ctx: GenContext,
-    board: Blackboard,
-) -> str:
-    comp = composed.component(meta.component)
+def _cache_key(meta: _ClaimMeta, ctx: GenContext) -> str:
+    comp = meta.component
     subjects = (None,) if meta.fact_subjects is None else meta.fact_subjects
     consumed = [
         f"{fact.topic}|{fact.producer}|{fact.subject}|"
         + ";".join(f"{k}={v}" for k, v in fact.payload)
         for topic in sorted(comp.interface.consumes)
         for subject in subjects
-        for fact in board.query(topic, subject)
+        for fact in ctx.board.query(topic, subject)
     ]
     options = ctx.options(comp)
     vps = ctx.vps(comp)
@@ -489,8 +444,8 @@ def _cache_key(
 
 
 def _lookup_cache(
-    cache: GenCache, composed: ComposedGenerator, ctx: GenContext,
-    out: str, snapshot: Mapping[str, int], old_trace: bytes | None,
+    cache: GenCache, ctx: GenContext, out: str,
+    snapshot: Mapping[str, int], old_trace: bytes | None,
 ) -> tuple[dict[str, str], dict[str, tuple[str, tuple[TraceRegion, ...]]]]:
     """Key every claim, and find the claims whose previous output is reusable.
 
@@ -500,10 +455,7 @@ def _lookup_cache(
     with it (see ``_traces``). Returns the keys and, per hit, its content
     digest and trace regions.
     """
-    keys = {
-        path: _cache_key(meta, composed, ctx, ctx.board)
-        for path, meta in ctx.claim_meta.items()
-    }
+    keys = {path: _cache_key(meta, ctx) for path, meta in ctx.claim_meta.items()}
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
     if old_trace is None:
         return keys, hits
@@ -517,7 +469,7 @@ def _lookup_cache(
         data = _read(out, path)
         # A file that is not UTF-8 cannot match a digest of UTF-8 text: a miss.
         if data is not None and hashlib.sha256(data).hexdigest() == entry[1] and _traces(
-            regions, data, ctx.claim_meta[path].component, features
+            regions, data, ctx.claim_meta[path].component.id, features
         ):
             hits[path] = (entry[1], regions)
     return keys, hits
@@ -568,9 +520,9 @@ def _build(ctx: GenContext, hits: Collection[str]) -> None:
         if path in hits:
             continue
         container = meta.build()
-        if container.path != path or container.component != meta.component:
+        if container.path != path or container.component != meta.component.id:
             raise EngineError(
-                f"the builder of {path!r}, claimed by {meta.component!r}, returned "
+                f"the builder of {path!r}, claimed by {meta.component.id!r}, returned "
                 f"{container.path!r} built for {container.component!r}"
             )
         ctx.containers[path] = container
@@ -599,7 +551,7 @@ def _run_engine(
             snapshot = _scan(out)
             old_trace = None if snapshot.get(TRACE_FILE, _OTHER) < 0 else _read(out, TRACE_FILE)
             if cache is not None:
-                keys, hits = _lookup_cache(cache, composed, ctx, out, snapshot, old_trace)
+                keys, hits = _lookup_cache(cache, ctx, out, snapshot, old_trace)
             _build(ctx, hits)
         try:
             for step in steps:

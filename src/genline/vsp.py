@@ -23,8 +23,6 @@ from .components import BINDING_MODES, VariantSpec
 from .featuremodel import Configuration
 from .lexing import TextSyntaxError, TokenStream, tokenize
 
-VspSyntaxError = TextSyntaxError
-
 _PUNCTS = ("{", "}", "[", "]", ":", ";", ",", ".", "=")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -49,7 +47,7 @@ def parse_variant_spec(source: str, base_dir: str | None = None) -> VariantSpec:
     mode = ts.expect_ident("binding mode")
     if mode.value not in BINDING_MODES:
         line, column = ts.position(mode)
-        raise VspSyntaxError(f"unknown binding mode {mode.value!r}", line, column + len(mode.value))
+        raise TextSyntaxError(f"unknown binding mode {mode.value!r}", line, column + len(mode.value))
     ts.expect_punct(";")
     out_path = _path(ts, "out", "output path")
     ts.expect_punct("}")
@@ -105,7 +103,7 @@ def _bindings(ts: TokenStream, keyword: str, what: str, quoted_only: bool) -> di
         end = ts.expect_punct(";")
         if key in bound:
             line, column = ts.position(end)
-            raise VspSyntaxError(f"{what} {key!r} bound twice", line, column + 1)
+            raise TextSyntaxError(f"{what} {key!r} bound twice", line, column + 1)
         bound[key] = value
     return bound
 

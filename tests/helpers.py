@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Iterator
 
 from genline import (
@@ -164,6 +164,20 @@ def satisfies_model(model: FeatureModel, selected: frozenset[str]) -> bool:
     excludes = {(c.lhs, c.rhs) for c in model.constraints if c.kind == "excludes"}
     return all(rhs in selected for lhs, rhs in requires if lhs in selected) and not any(
         lhs in selected and rhs in selected for lhs, rhs in excludes
+    )
+
+
+def refused_artifact_path(path: str) -> bool:
+    """Whether a claim of ``path`` must be refused, by way of ``PurePosixPath``: the
+    oracle for the string rule in ``GenContext.claim``. A path is refused if it is
+    absolute, climbs out with "..", is not in normal form (``./A.oo``,
+    ``p//q.oo``, ``p/``, ``.``, the empty path) or names one of the engine's own files."""
+    pure = PurePosixPath(path)
+    return (
+        str(pure) != path
+        or pure.is_absolute()
+        or ".." in pure.parts
+        or path in (".", "trace.map", "gencache.map")
     )
 
 

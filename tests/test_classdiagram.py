@@ -8,18 +8,17 @@ from genline.classdiagram import (
     CC_SUPERCLASS,
     CC_TYPES_RESOLVE,
     CC_UNIQUE_NAMES,
-    CdlSyntaxError,
     ClassDecl,
     ContextCondition,
     EnumDecl,
     InterfaceDecl,
     SymbolTable,
-    UnknownTypeError,
     canonical_type_text,
     check_context_conditions,
     core_conditions,
     parse_class_diagram,
 )
+from genline.lexing import TextSyntaxError
 
 from helpers import COVERING_CDL, covering_diagram
 
@@ -80,19 +79,19 @@ def test_canonical_type_text_is_stable():
 
 
 def test_parse_errors():
-    with pytest.raises(CdlSyntaxError, match="duplicate attribute 'x'"):
+    with pytest.raises(TextSyntaxError, match="duplicate attribute 'x'"):
         parse_class_diagram("classdiagram D { class A { x: int; x: string; } }")
-    with pytest.raises(CdlSyntaxError, match="duplicate enum constant 'R'"):
+    with pytest.raises(TextSyntaxError, match="duplicate enum constant 'R'"):
         parse_class_diagram("classdiagram D { enum E { R, R } }")
-    with pytest.raises(CdlSyntaxError, match="tags may only precede a class"):
+    with pytest.raises(TextSyntaxError, match="tags may only precede a class"):
         parse_class_diagram("classdiagram D { <<x>> enum E { R } }")
-    with pytest.raises(CdlSyntaxError, match="keyword 'class'"):
+    with pytest.raises(TextSyntaxError, match="keyword 'class'"):
         parse_class_diagram("classdiagram class { }")
-    with pytest.raises(CdlSyntaxError, match="trailing input"):
+    with pytest.raises(TextSyntaxError, match="trailing input"):
         parse_class_diagram("classdiagram D { } class")
-    with pytest.raises(CdlSyntaxError, match="expected 'class', 'interface' or 'enum'"):
+    with pytest.raises(TextSyntaxError, match="expected 'class', 'interface' or 'enum'"):
         parse_class_diagram("classdiagram D { widget W { } }")
-    with pytest.raises(CdlSyntaxError) as err:
+    with pytest.raises(TextSyntaxError) as err:
         parse_class_diagram("classdiagram D {\n  class A {\n    x int;\n  }\n}")
     assert (err.value.line, err.value.column) == (3, 7)
 
@@ -105,19 +104,14 @@ def test_symbol_table():
     assert symbols.kind_of("Color") == "enum"
     assert symbols.kind_of("Missing") is None
     assert "string" in symbols and "Nope" not in symbols
-    kind, decl = symbols.lookup("Manager")
-    assert kind == "class" and decl.name == "Manager"
-    with pytest.raises(UnknownTypeError):
-        symbols.lookup("Missing")
+    assert symbols.kind_of("Manager") == "class"
 
 
 def test_symbol_table_first_declaration_wins():
     diagram = parse_class_diagram(
         "classdiagram D { class A { x: int; } interface A { } }"
     )
-    kind, decl = SymbolTable(diagram).lookup("A")
-    assert kind == "class"
-    assert isinstance(decl, ClassDecl)
+    assert SymbolTable(diagram).kind_of("A") == "class"
 
 
 def test_clean_diagram_passes_core_conditions():

@@ -21,7 +21,6 @@ from genline.featuremodel import (
     FeatureGroup,
     FeatureModel,
     FeatureModelError,
-    FmlSyntaxError,
     enumerate_configurations,
     format_feature_model,
     model_formula,
@@ -29,6 +28,7 @@ from genline.featuremodel import (
     validate_configuration,
 )
 from genline.formula import evaluate
+from genline.lexing import TextSyntaxError
 from genline.reference import REFERENCE_FML, reference_feature_model
 
 from helpers import ALL_FEATURES, iter_subsets, satisfies_model
@@ -205,27 +205,27 @@ def test_group_rules_apply_only_when_owner_selected():
 
 
 def test_parse_errors_carry_positions():
-    with pytest.raises(FmlSyntaxError) as err:
+    with pytest.raises(TextSyntaxError) as err:
         parse_feature_model("featuremodel M { R! { A? A? } }")
     assert "duplicate feature id 'A'" in str(err.value)
     assert err.value.line == 1
 
-    with pytest.raises(FmlSyntaxError, match="not a child"):
+    with pytest.raises(TextSyntaxError, match="not a child"):
         parse_feature_model("featuremodel M { R! { A? xor { A, Z } } }")
 
-    with pytest.raises(FmlSyntaxError, match="more than one group"):
+    with pytest.raises(TextSyntaxError, match="more than one group"):
         parse_feature_model("featuremodel M { R! { A? B? xor { A } or { B } } }")
 
-    with pytest.raises(FmlSyntaxError, match="unknown constraint endpoint"):
+    with pytest.raises(TextSyntaxError, match="unknown constraint endpoint"):
         parse_feature_model("featuremodel M { R! { A? } } constraints { A requires Z; }")
 
-    with pytest.raises(FmlSyntaxError, match="itself"):
+    with pytest.raises(TextSyntaxError, match="itself"):
         parse_feature_model("featuremodel M { R! { A? } } constraints { A requires A; }")
 
-    with pytest.raises(FmlSyntaxError, match="'!' or '\\?'"):
+    with pytest.raises(TextSyntaxError, match="'!' or '\\?'"):
         parse_feature_model("featuremodel M { R { A? } }")
 
-    with pytest.raises(FmlSyntaxError, match="trailing input"):
+    with pytest.raises(TextSyntaxError, match="trailing input"):
         parse_feature_model("featuremodel M { R! } extra")
 
 

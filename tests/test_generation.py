@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genline.classdiagram import ClassDiagram, canonical_type_text, parse_class_diagram
-from genline.components import Behavior, ComponentInterface, GeneratorComponent
+from genline.components import Behavior, ComponentInterface, GeneratorComponent, check_bindings
 from genline.composition import compose_all
 from genline import ootl
 from genline.formula import TRUE
@@ -26,17 +26,16 @@ from genline.generation import (
     EngineError,
     Fact,
     GenCache,
+    GenContext,
     GenerationIOError,
     TraceIndex,
     TraceRegion,
-    claim_artifact,
     generate,
     incremental_generate,
     resolve_hooks,
-    trace_query,
 )
 
-from helpers import compose_reference, make_spec, read_tree
+from helpers import compose_reference, make_spec, read_tree, refused_artifact_path
 
 FULL_GEN = ("CD2Java", "Types", "Class", "DefaultConstructor", "Builder", "Factory")
 
@@ -137,8 +136,9 @@ def test_blackboard_enforces_produce_and_consume_declarations():
     board.publish(Fact.make("type.generated", "P", "A"), producer=producer)
     with pytest.raises(BlackboardError, match="does not declare producing"):
         board.publish(Fact.make("method.generated", "P", "A.f"), producer=producer)
-    # artifact.claimed is exempt: every claiming component publishes it.
-    board.publish(Fact.make("artifact.claimed", "P", "A.oo"), producer=producer)
+    # artifact.claimed is the engine's own fact: a component cannot forge it either.
+    with pytest.raises(BlackboardError, match="does not declare producing"):
+        board.publish(Fact.make("artifact.claimed", "P", "A.oo"), producer=producer)
     consumer = _mk("Q", consumes=("type.generated",))
     assert len(board.query("type.generated", consumer=consumer)) == 1
     with pytest.raises(BlackboardError, match="does not declare consuming"):
@@ -155,17 +155,48 @@ def test_blackboard_duplicate_facts():
         board.publish(Fact.make("type.generated", "C", "A", {"kind": "enum"}))
 
 
-def test_claim_artifact():
-    board = Blackboard()
-    claim_artifact(board, "A.oo", "First")
-    claim_artifact(board, "A.oo", "First")  # idempotent
-    assert board.claims == {"A.oo": "First"}
-    claimed = board.query("artifact.claimed")
-    assert [(f.producer, f.subject) for f in claimed] == [("First", "A.oo")]
+def _declaring(*components: GeneratorComponent) -> GenContext:
+    """A fresh run's context in the declare phase, for components without options."""
+    spec = make_spec(("CD2Java",), "out")
+    ctx = GenContext(EMPTY_DIAGRAM, spec, check_bindings(spec, components), Blackboard())
+    ctx.phase = "declare"
+    return ctx
+
+
+def test_a_claim_by_another_component_names_both():
+    first, second = _mk("First"), _mk("Second")
+    ctx = _declaring(first, second)
+    ctx.claim(first, "A.oo", "a", lambda: _unit("A.oo", "First"))
     with pytest.raises(ClaimConflictError) as err:
-        claim_artifact(board, "A.oo", "Second")
+        ctx.claim(second, "A.oo", "a", lambda: _unit("A.oo", "Second"))
     assert (err.value.path, err.value.holder, err.value.claimant) == ("A.oo", "First", "Second")
     assert "First" in str(err.value) and "Second" in str(err.value)
+    claimed = ctx.board.query("artifact.claimed")
+    assert [(f.producer, f.subject) for f in claimed] == [("First", "A.oo")]
+
+
+_PATH_PIECES = ("a", ".", "..", "/", "trace.map", "gencache.map")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PATH_PIECES), max_size=6).map("".join))
+@example("")
+@example("//a")
+@example("a/")
+@example("./a")
+@example("a/./a")
+@example("a/trace.map")
+def test_claim_path_rule_matches_the_pure_path_rule(path):
+    comp = _mk("C")
+    ctx = _declaring(comp)
+    try:
+        ctx.claim(comp, path, "p", lambda: _unit(path, "C"))
+    except EngineError as exc:
+        assert "artifact path must be relative" in str(exc)
+        refused = True
+    else:
+        refused = False
+    assert refused == refused_artifact_path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +265,11 @@ def test_trace_index_from_containers_and_round_trip():
         TraceRegion(3, 3, ("DefaultConstructor",), "C"),
         TraceRegion(4, 4, ("Class",), "C"),
     )
-    assert trace.to_lines() == [
-        "A.oo:1-2 C Class",
-        "A.oo:3-3 C DefaultConstructor",
-        "A.oo:4-4 C Class",
-    ]
+    assert trace.to_text() == (
+        "A.oo:1-2 C Class\n"
+        "A.oo:3-3 C DefaultConstructor\n"
+        "A.oo:4-4 C Class\n"
+    )
     again = TraceIndex.from_text(trace.to_text())
     assert again.by_artifact == trace.by_artifact
     assert again.by_feature == trace.by_feature
@@ -277,20 +308,6 @@ def test_trace_from_text_skips_malformed_lines():
     trace = TraceIndex.from_text(text)
     assert list(trace.by_artifact) == ["A.oo"]
     assert len(trace.by_artifact["A.oo"]) == 2
-
-
-def test_trace_query_kinds():
-    trace = TraceIndex({"X": [TraceRegion(1, 1, ("X", "Y"), "C")]})
-    as_artifact = trace_query(trace, "X", kind="artifact")
-    assert as_artifact.kind == "artifact"
-    assert as_artifact.artifact_regions == (TraceRegion(1, 1, ("X", "Y"), "C"),)
-    as_feature = trace_query(trace, "X", kind="feature")
-    assert as_feature.kind == "feature"
-    assert as_feature.feature_ranges == (("X", (1, 1)),)
-    assert trace_query(trace, "Y", kind="artifact").kind == "unknown"
-    assert trace_query(trace, "Nope", kind="feature").kind == "unknown"
-    with pytest.raises(ValueError, match="unknown query kind"):
-        trace_query(trace, "X", kind="module")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from genline.components import BINDING_MODES, VariantSpec
 from genline.featuremodel import Configuration
-from genline.vsp import VspSyntaxError, format_variant_spec, parse_variant_spec
+from genline.lexing import TextSyntaxError
+from genline.vsp import format_variant_spec, parse_variant_spec
 
 FULL_VSP = """\
 // sample variant
@@ -84,30 +85,30 @@ def test_option_value_words():
 
 
 def test_parse_errors():
-    with pytest.raises(VspSyntaxError, match="'variant'"):
+    with pytest.raises(TextSyntaxError, match="'variant'"):
         parse_variant_spec("product x { }")
-    with pytest.raises(VspSyntaxError, match="'model:'"):
+    with pytest.raises(TextSyntaxError, match="'model:'"):
         parse_variant_spec("variant v { features: [A]; }")
-    with pytest.raises(VspSyntaxError, match="bound twice"):
+    with pytest.raises(TextSyntaxError, match="bound twice"):
         parse_variant_spec(
             "variant v { model: m; features: [A];\n"
             "option C.x = true; option C.x = false;\n"
             "mode: hybrid; out: o; }"
         )
-    with pytest.raises(VspSyntaxError, match="unknown binding mode 'lazy'"):
+    with pytest.raises(TextSyntaxError, match="unknown binding mode 'lazy'"):
         parse_variant_spec("variant v { model: m; features: [A]; mode: lazy; out: o; }")
-    with pytest.raises(VspSyntaxError, match="trailing input"):
+    with pytest.raises(TextSyntaxError, match="trailing input"):
         parse_variant_spec("variant v { model: m; features: [A]; mode: hybrid; out: o; } more")
-    with pytest.raises(VspSyntaxError, match="quoted binding text"):
+    with pytest.raises(TextSyntaxError, match="quoted binding text"):
         parse_variant_spec(
             "variant v { model: m; features: [A]; bind C.p = bare; mode: hybrid; out: o; }"
         )
-    with pytest.raises(VspSyntaxError, match="unterminated"):
+    with pytest.raises(TextSyntaxError, match="unterminated"):
         parse_variant_spec('variant v { model: m; features: [A]; option C.x = "oops\n')
 
 
 def test_error_positions_are_line_and_column():
-    with pytest.raises(VspSyntaxError) as err:
+    with pytest.raises(TextSyntaxError) as err:
         parse_variant_spec("variant v {\n  model: m;\n  features: (A);\n}\n")
     assert err.value.line == 3
     assert err.value.column == 13
@@ -124,7 +125,7 @@ def test_sections_must_appear_in_order():
     out_before_mode = (
         "variant v { model: m; features: [A]; out: o; mode: hybrid; }"
     )
-    with pytest.raises(VspSyntaxError, match="'mode:'"):
+    with pytest.raises(TextSyntaxError, match="'mode:'"):
         parse_variant_spec(out_before_mode)
     option_after_bind = (
         'variant v { model: m; features: [A];\n'
@@ -132,7 +133,7 @@ def test_sections_must_appear_in_order():
         'option C.x = true;\n'
         'mode: hybrid; out: o; }'
     )
-    with pytest.raises(VspSyntaxError, match="'mode:'"):
+    with pytest.raises(TextSyntaxError, match="'mode:'"):
         parse_variant_spec(option_after_bind)
 
 
@@ -177,7 +178,7 @@ def test_parse_edge_cases(source, expected):
         spec = parse_variant_spec(source)
         assert {field: getattr(spec, field) for field in expected} == expected
     else:
-        with pytest.raises(VspSyntaxError) as err:
+        with pytest.raises(TextSyntaxError) as err:
             parse_variant_spec(source)
         assert (err.value.message, err.value.line, err.value.column) == expected
 
