@@ -214,7 +214,7 @@ def _cmd_derive(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     steps = schedule(composed, spec, bindings)
     print("schedule:", file=out)
     for step in steps:
-        print(f"  {step.phase} {step.component_id}.{step.behavior}", file=out)
+        print(f"  {step.phase} {step.component.id}.{step.behavior.name}", file=out)
     return EXIT_OK
 
 

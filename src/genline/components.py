@@ -1,9 +1,11 @@
 """Generator components, their interfaces, and variant specifications.
 
-A generator component packages behaviors (phased units of work) behind an
+A generator component packages behaviors (units of work) behind an
 interface that declares everything the composition machinery may rely on:
 the concerns it covers, the features it realizes, configuration options and
 variation points, and the fact topics and hooks it exchanges with others.
+Its kind fixes the one phase all of its behaviors run in: a front end
+restricts the input, a back end declares facts and artifacts.
 """
 
 from __future__ import annotations
@@ -26,12 +28,8 @@ FACT_TOPICS = frozenset(
     }
 )
 
-COMPONENT_KINDS = ("front_end", "back_end")
-PHASES = ("restrict", "declare")
-_PHASES_BY_KIND = {
-    "front_end": frozenset({"restrict"}),
-    "back_end": frozenset({"declare"}),
-}
+# Each component kind and the phase its behaviors run in, in phase order.
+PHASE_OF_KIND = {"front_end": "restrict", "back_end": "declare"}
 
 OPTION_TYPES = ("flag", "choice", "text")
 VARIATION_POINT_KINDS = ("text_fragment", "name_pattern")
@@ -105,7 +103,6 @@ class ComponentInterface:
 @dataclass(frozen=True)
 class Behavior:
     name: str
-    phase: str  # one of PHASES
     applicability: fm.Formula
     run: Callable[["object", "GeneratorComponent"], object]
 
@@ -114,7 +111,7 @@ class Behavior:
 class GeneratorComponent:
     id: str
     version: str
-    kind: str  # one of COMPONENT_KINDS
+    kind: str  # a key of PHASE_OF_KIND
     realizes: frozenset[str]
     interface: ComponentInterface
     behaviors: tuple[Behavior, ...] = ()
@@ -152,19 +149,15 @@ class ComponentRegistry:
         return tuple(c.id for c in self.components)
 
 
-def _check_value_type(kind: str, opt: OptionDecl, value: object, where: str) -> None:
+def _check_value_type(error: type[ValueError], opt: OptionDecl, value: object, where: str) -> None:
     if opt.type == "flag" and not isinstance(value, bool):
-        raise kind_error(kind, f"{where}: option {opt.name!r} is a flag, got {value!r}")
+        raise error(f"{where}: option {opt.name!r} is a flag, got {value!r}")
     if opt.type == "text" and not isinstance(value, str):
-        raise kind_error(kind, f"{where}: option {opt.name!r} is text, got {value!r}")
+        raise error(f"{where}: option {opt.name!r} is text, got {value!r}")
     if opt.type == "choice" and value not in opt.choices:
-        raise kind_error(
-            kind, f"{where}: option {opt.name!r} must be one of {sorted(opt.choices)}, got {value!r}"
+        raise error(
+            f"{where}: option {opt.name!r} must be one of {sorted(opt.choices)}, got {value!r}"
         )
-
-
-def kind_error(kind: str, message: str) -> ValueError:
-    return RegistrationError(message) if kind == "register" else OptionBindingError(message)
 
 
 def _atom_ok(ref: str, model: FeatureModel, by_id: Mapping[str, GeneratorComponent]) -> bool:
@@ -180,10 +173,10 @@ def build_registry(
 ) -> ComponentRegistry:
     """Validate a component set against a feature model and index it.
 
-    Raises RegistrationError on structural problems: duplicate ids, behaviors
-    in phases foreign to the component kind, undeclared fact topics, malformed
-    option or variation point declarations, or interface formulas referencing
-    unknown features or options.
+    Raises RegistrationError on structural problems: duplicate ids, an
+    unknown component kind, undeclared fact topics, malformed option or
+    variation point declarations, or interface formulas referencing unknown
+    features or options.
     """
     ordered = sorted(components, key=lambda c: c.id)
     by_id: dict[str, GeneratorComponent] = {}
@@ -194,19 +187,8 @@ def build_registry(
 
     realized_by: dict[str, str] = {}
     for comp in ordered:
-        if comp.kind not in COMPONENT_KINDS:
+        if comp.kind not in PHASE_OF_KIND:
             raise RegistrationError(f"component {comp.id!r}: unknown kind {comp.kind!r}")
-        allowed = _PHASES_BY_KIND[comp.kind]
-        for beh in comp.behaviors:
-            if beh.phase not in PHASES:
-                raise RegistrationError(
-                    f"component {comp.id!r}: behavior {beh.name!r} has unknown phase {beh.phase!r}"
-                )
-            if beh.phase not in allowed:
-                raise RegistrationError(
-                    f"component {comp.id!r}: {comp.kind} components may not run "
-                    f"{beh.phase!r} behaviors ({beh.name!r})"
-                )
         names = [b.name for b in comp.behaviors]
         if len(names) != len(set(names)):
             raise RegistrationError(f"component {comp.id!r}: duplicate behavior names")
@@ -230,7 +212,7 @@ def build_registry(
                 raise RegistrationError(
                     f"component {comp.id!r}: choice option {opt.name!r} lists no choices"
                 )
-            _check_value_type("register", opt, opt.default, f"component {comp.id!r}")
+            _check_value_type(RegistrationError, opt, opt.default, f"component {comp.id!r}")
         seen_vps: set[str] = set()
         for vp in comp.interface.variation_points:
             if vp.name in seen_vps:
@@ -269,7 +251,7 @@ def build_registry(
                 raise RegistrationError(
                     f"component {comp.id!r}: forced binding names unknown option {forced.option!r}"
                 )
-            _check_value_type("register", opt, forced.value, f"component {comp.id!r}")
+            _check_value_type(RegistrationError, opt, forced.value, f"component {comp.id!r}")
 
     for comp in ordered:
         refs = []
@@ -358,7 +340,7 @@ def check_bindings(spec: VariantSpec, components: Sequence[GeneratorComponent]) 
         opt = comp.interface.option(name)
         if opt is None:
             raise OptionBindingError(f"{where}: component {comp.id!r} has no option {name!r}")
-        _check_value_type("bind", opt, value, where)
+        _check_value_type(OptionBindingError, opt, value, where)
         options[comp.id][name] = value
     for comp in ordered:
         for forced in comp.forced:

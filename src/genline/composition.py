@@ -21,7 +21,7 @@ from .components import (
     GeneratorComponent,
     LATE_BINDING_MODES,
     OptionBindingError,
-    PHASES,
+    PHASE_OF_KIND,
     VariantSpec,
     check_bindings,
 )
@@ -33,7 +33,7 @@ CMP_NO_PRODUCER = "CMP-NO-PRODUCER"
 CMP_FACT_CYCLE = "CMP-FACT-CYCLE"
 CMP_CONCERN_CLASH = "CMP-CONCERN-CLASH"
 
-_PHASE_RANK = {phase: rank for rank, phase in enumerate(PHASES)}
+_PHASE_RANK = {phase: rank for rank, phase in enumerate(PHASE_OF_KIND.values())}
 
 
 class CompositionFault(Exception):
@@ -48,9 +48,9 @@ class CompositionFault(Exception):
 
 @dataclass(frozen=True)
 class ScheduledStep:
-    phase: str
-    component_id: str
-    behavior: str
+    phase: str  # the phase of the component's kind
+    component: GeneratorComponent
+    behavior: Behavior
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,6 @@ class ComposedGenerator:
     components: tuple[GeneratorComponent, ...]  # sorted by id
     full_schedule: tuple[ScheduledStep, ...]
     fact_cycle: tuple[str, ...]  # component ids on a cycle, empty when acyclic
-
-    def component(self, component_id: str) -> GeneratorComponent:
-        for comp in self.components:
-            if comp.id == component_id:
-                return comp
-        raise KeyError(component_id)
-
-    def behavior(self, step: ScheduledStep) -> tuple[GeneratorComponent, Behavior]:
-        comp = self.component(step.component_id)
-        for beh in comp.behaviors:
-            if beh.name == step.behavior:
-                return comp, beh
-        raise KeyError(step.behavior)
 
 
 Composable = Union[GeneratorComponent, ComposedGenerator]
@@ -133,13 +120,12 @@ def _build_schedule(
     components: Sequence[GeneratorComponent], ranks: dict[str, int]
 ) -> tuple[ScheduledStep, ...]:
     steps = [
-        ScheduledStep(phase=beh.phase, component_id=comp.id, behavior=beh.name)
+        ScheduledStep(PHASE_OF_KIND[comp.kind], comp, beh)
         for comp in components
         for beh in comp.behaviors
     ]
-    steps.sort(
-        key=lambda s: (_PHASE_RANK[s.phase], ranks[s.component_id], s.component_id, s.behavior)
-    )
+    # Ranks are unique per component, so ties only arise within one component.
+    steps.sort(key=lambda s: (_PHASE_RANK[s.phase], ranks[s.component.id], s.behavior.name))
     return tuple(steps)
 
 
@@ -260,9 +246,8 @@ def schedule(
         )
     selected = spec.configuration.selected
     opts = bindings.qualified()
-    steps = []
-    for step in composed.full_schedule:
-        _, beh = composed.behavior(step)
-        if fm.evaluate(beh.applicability, selected, opts):
-            steps.append(step)
-    return tuple(steps)
+    return tuple(
+        step
+        for step in composed.full_schedule
+        if fm.evaluate(step.behavior.applicability, selected, opts)
+    )

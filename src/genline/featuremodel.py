@@ -60,7 +60,6 @@ class FeatureGroup:
 @dataclass(frozen=True)
 class Feature:
     id: str
-    name: str
     parent: str | None
     variability: str  # "mandatory" | "optional"
     children: tuple[str, ...] = ()
@@ -198,7 +197,6 @@ def _build_model(
             group = FeatureGroup(kind, members)
         features[node.name] = Feature(
             id=node.name,
-            name=node.name,
             parent=parent,
             variability=node.variability,
             children=child_ids,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import re
 import shutil
 import tempfile
 import uuid
@@ -33,7 +34,7 @@ from .classdiagram import ClassDiagram, ContextCondition, check_context_conditio
 from .components import (
     FACT_TOPICS,
     LATE_BINDING_MODES,
-    PHASES,
+    PHASE_OF_KIND,
     Bindings,
     GeneratorComponent,
     VariantSpec,
@@ -51,6 +52,10 @@ CORE_FEATURE = "core"
 TRACE_FILE = "trace.map"
 CACHE_FILE = "gencache.map"
 _DIR, _OTHER = -1, -2  # scan markers: a folder, and what is neither a folder nor a regular file
+# What an artifact path may not hold: whitespace (any character str.isspace()
+# accepts, which the trace and cache maps split their lines on), or, at its
+# start or after a "/", an empty, "." or ".." part. One search checks a path.
+_BAD_PATH = re.compile(r"\s|(?:\A|/)(?:/|\Z|\.\.?(?:/|\Z))")
 
 
 class BlackboardError(RuntimeError):
@@ -320,6 +325,7 @@ class GenContext:
         self.conditions: list[ContextCondition] = []
         self.containers: dict[str, ArtifactContainer] = {}
         self.claim_meta: dict[str, _ClaimMeta] = {}
+        self._claimed_folders: set[str] = set()  # every folder above a claimed path
         self._bindings = bindings
 
     # -- variant views ------------------------------------------------------
@@ -349,23 +355,42 @@ class GenContext:
         """Claim ``path``; the engine calls ``build()`` for its container on a cache miss.
 
         Raises EngineError if the path is absolute, has an empty, "." or ".."
-        part, or names one of the engine's own files. A path has one builder:
-        a claim by another component raises ClaimConflictError naming both, a
-        second claim by the same component EngineError. Publishes an
-        artifact.claimed fact.
+        part or a whitespace character, names one of the engine's own files,
+        lies inside a claimed path or one of those files, or is a folder above
+        a claimed path. A path has one builder: a claim by another component
+        raises ClaimConflictError naming both, a second claim by the same
+        component EngineError. Publishes an artifact.claimed fact.
         """
         self._require_phase("declare", "claim")
-        parts = path.split("/")
-        if "" in parts or "." in parts or ".." in parts or path in (TRACE_FILE, CACHE_FILE):
+        if _BAD_PATH.search(path) or path in (TRACE_FILE, CACHE_FILE):
             raise EngineError(
                 f"component {component.id!r} claims {path!r}: an artifact path must be relative, "
-                f"in normal form, without '..', and not {TRACE_FILE!r} or {CACHE_FILE!r}"
+                f"in normal form, without '..' or whitespace, and not {TRACE_FILE!r} or "
+                f"{CACHE_FILE!r}"
             )
         held = self.claim_meta.get(path)
         if held is not None:
             if held.component.id != component.id:
                 raise ClaimConflictError(path, held.component.id, component.id)
             raise EngineError(f"artifact {path!r} claimed twice by {component.id!r}")
+        if path in self._claimed_folders:
+            below = next(p for p in self.claim_meta if p.startswith(path + "/"))
+            raise EngineError(
+                f"component {component.id!r} claims {path!r}, a folder above {below!r} "
+                f"claimed by {self.claim_meta[below].component.id!r}"
+            )
+        if "/" in path:
+            parts = path.split("/")
+            folders = ["/".join(parts[:i]) for i in range(1, len(parts))]
+            for folder in folders:
+                outer = self.claim_meta.get(folder)
+                if outer is not None or folder in (TRACE_FILE, CACHE_FILE):
+                    owner = "the engine" if outer is None else repr(outer.component.id)
+                    raise EngineError(
+                        f"component {component.id!r} claims {path!r} inside {folder!r}, "
+                        f"a file of {owner}"
+                    )
+            self._claimed_folders.update(folders)
         subjects = None if fact_subjects is None else tuple(sorted(set(fact_subjects)))
         self.claim_meta[path] = _ClaimMeta(component, element_key, subjects, build)
         self.board.publish(Fact.make("artifact.claimed", component.id, path))
@@ -545,7 +570,7 @@ def _run_engine(
 
     # The syntax and hook stages run no behaviors, only their gates. Builders run
     # in the syntax stage, so a builder that claims or publishes is refused.
-    for stage in (*PHASES, "syntax", "hooks"):
+    for stage in (*PHASE_OF_KIND.values(), "syntax", "hooks"):
         ctx.phase = stage
         if stage == "syntax":
             snapshot = _scan(out)
@@ -556,8 +581,7 @@ def _run_engine(
         try:
             for step in steps:
                 if step.phase == stage:
-                    comp, beh = composed.behavior(step)
-                    beh.run(ctx, comp)
+                    step.behavior.run(ctx, step.component)
             violations = _gate(stage, ctx)
         except ClaimConflictError as exc:
             violations = (Violation(GEN_CLAIM, (exc.holder, exc.claimant), str(exc)),)

@@ -428,7 +428,7 @@ def _core_front_end() -> GeneratorComponent:
         kind="front_end",
         realizes=frozenset(),
         interface=ComponentInterface(concerns=frozenset({("input_wellformedness", "core context conditions on the input diagram")})),
-        behaviors=(Behavior("restrict_core", "restrict", TRUE, _restrict_core),),
+        behaviors=(Behavior("restrict_core", TRUE, _restrict_core),),
     )
 
 
@@ -439,7 +439,7 @@ def _feature_guard() -> GeneratorComponent:
         kind="front_end",
         realizes=frozenset(),
         interface=ComponentInterface(concerns=frozenset({("feature_gating", "per-variant restrictions on input constructs")})),
-        behaviors=(Behavior("restrict_features", "restrict", TRUE, _restrict_features),),
+        behaviors=(Behavior("restrict_features", TRUE, _restrict_features),),
     )
 
 
@@ -461,15 +461,14 @@ def _types_component() -> GeneratorComponent:
             hooks_provided=frozenset({"%sProvider"}),
         ),
         behaviors=(
-            Behavior("declare_classes", "declare", TRUE, _types_declare_classes),
-            Behavior("declare_enums", "declare", Atom("Types.generate_enums"), _types_declare_enums),
+            Behavior("declare_classes", TRUE, _types_declare_classes),
+            Behavior("declare_enums", Atom("Types.generate_enums"), _types_declare_enums),
             Behavior(
                 "declare_interfaces",
-                "declare",
                 Atom("Types.generate_interfaces"),
                 _types_declare_interfaces,
             ),
-            Behavior("declare_providers", "declare", TRUE, _types_declare_providers),
+            Behavior("declare_providers", TRUE, _types_declare_providers),
         ),
         forced=(
             ForcedOption("DefaultConstructor", "default_constructor", True),
@@ -492,7 +491,7 @@ def _builder_component() -> GeneratorComponent:
             produces=frozenset({"method.generated"}),
         ),
         behaviors=(
-            Behavior("declare_builders", "declare", TRUE, _builder_declare),
+            Behavior("declare_builders", TRUE, _builder_declare),
         ),
     )
 
@@ -514,7 +513,7 @@ def _factory_component() -> GeneratorComponent:
             ),
         ),
         behaviors=(
-            Behavior("declare_factory", "declare", TRUE, _factory_declare),
+            Behavior("declare_factory", TRUE, _factory_declare),
         ),
     )
 

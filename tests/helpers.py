@@ -171,13 +171,15 @@ def refused_artifact_path(path: str) -> bool:
     """Whether a claim of ``path`` must be refused, by way of ``PurePosixPath``: the
     oracle for the string rule in ``GenContext.claim``. A path is refused if it is
     absolute, climbs out with "..", is not in normal form (``./A.oo``,
-    ``p//q.oo``, ``p/``, ``.``, the empty path) or names one of the engine's own files."""
+    ``p//q.oo``, ``p/``, ``.``, the empty path) or names one of the engine's own
+    files or a path inside one."""
     pure = PurePosixPath(path)
     return (
         str(pure) != path
         or pure.is_absolute()
         or ".." in pure.parts
-        or path in (".", "trace.map", "gencache.map")
+        or path == "."
+        or pure.parts[0] in ("trace.map", "gencache.map")
     )
 
 

@@ -204,7 +204,7 @@ def test_acceptance_5_second_claim_on_same_artifact_refused(announce, tmp_path):
             interface=ComponentInterface(
                 concerns=frozenset({("squatting", "claims a path Types owns")})
             ),
-            behaviors=(Behavior("declare_squat", "declare", TRUE, declare_squat),),
+            behaviors=(Behavior("declare_squat", TRUE, declare_squat),),
         )
         selected = ("CD2Java", "Types", "Class")
         composed = compose_reference(selected, extra=(squatter,))

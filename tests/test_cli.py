@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import genline.cli
 from genline.cli import (
     EXIT_COMPOSITION,
     EXIT_CONFIG,
@@ -17,8 +18,14 @@ from genline.cli import (
     main,
     run_cli,
 )
+from genline.components import Behavior, ComponentInterface, GeneratorComponent, build_registry
+from genline.formula import TRUE
+from genline.generation import ArtifactContainer
+from genline.reference import reference_components
 
 from helpers import ALL_FEATURES, COVERING_CDL, read_tree
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 SHOP_CDL = (
     "classdiagram Shop {\n"
@@ -135,6 +142,21 @@ def test_derive_reports_plan(tmp_path, monkeypatch):
     assert schedule_lines == [
         "  restrict CoreFrontEnd.restrict_core",
         "  restrict FeatureGuard.restrict_features",
+    ]
+
+
+def test_derive_reports_the_whole_schedule_of_the_sample():
+    code, out, err = run("derive", "-s", str(SAMPLES / "shop.vsp"))
+    assert code == EXIT_OK and err == ""
+    assert out.partition("schedule:\n")[2].splitlines() == [
+        "  restrict CoreFrontEnd.restrict_core",
+        "  restrict FeatureGuard.restrict_features",
+        "  declare Types.declare_classes",
+        "  declare Types.declare_enums",
+        "  declare Types.declare_interfaces",
+        "  declare Types.declare_providers",
+        "  declare Builder.declare_builders",
+        "  declare Factory.declare_factory",
     ]
 
 
@@ -461,6 +483,47 @@ def test_generate_leaves_out_alone_when_the_swap_fails(tmp_path, monkeypatch, fa
         assert len(renames) == 3  # the third moves the old output back
     assert read_tree(out_dir) == cold
     assert _file_stats(out_dir) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+
+
+def test_generate_refuses_a_claim_inside_the_cache_map_before_touching_out(tmp_path, monkeypatch):
+    """A claim of ``gencache.map/x.oo`` would turn the cache map into a folder:
+    it is refused in the declare stage, and the old output keeps every file."""
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(out_dir)
+    before = _file_stats(out_dir)
+
+    def declare_squat(ctx, comp):
+        path = "gencache.map/x.oo"
+
+        def build():
+            container = ArtifactContainer(path, comp.id)
+            container.append("package Shop;\nclass X {\n}\n")
+            return container
+
+        ctx.claim(comp, path, "squat", build)
+
+    squatter = GeneratorComponent(
+        id="Squatter",
+        version="1.0.0",
+        kind="back_end",
+        realizes=frozenset(),
+        interface=ComponentInterface(),
+        behaviors=(Behavior("declare_squat", TRUE, declare_squat),),
+    )
+    monkeypatch.setattr(
+        genline.cli,
+        "build_reference_registry",
+        lambda model: build_registry([*reference_components(), squatter], model),
+    )
+    write_variant(tmp_path, cdl=EDITED_CDL)
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert (code, out) == (EXIT_GENERATION, "")
+    assert read_tree(out_dir) == cold
+    assert _file_stats(out_dir) == before
+    assert "'gencache.map/x.oo'" in err and "'Squatter'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
 
 

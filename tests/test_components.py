@@ -90,17 +90,6 @@ def test_registry_rejects_duplicate_ids():
 
 
 def test_registry_enforces_phase_discipline():
-    declare_behavior = Behavior("d", "declare", TRUE, _noop)
-    with pytest.raises(RegistrationError, match="may not run 'declare'"):
-        build_registry([_component(kind="front_end", behaviors=(declare_behavior,))], MODEL)
-    restrict_behavior = Behavior("r", "restrict", TRUE, _noop)
-    with pytest.raises(RegistrationError, match="may not run 'restrict'"):
-        build_registry([_component(kind="back_end", behaviors=(restrict_behavior,))], MODEL)
-    for phase in ("bogus", "transform", "emit"):
-        with pytest.raises(RegistrationError, match="unknown phase"):
-            build_registry(
-                [_component(behaviors=(Behavior("b", phase, TRUE, _noop),))], MODEL
-            )
     with pytest.raises(RegistrationError, match="unknown kind"):
         build_registry([_component(kind="middle")], MODEL)
 
@@ -171,13 +160,13 @@ def test_registry_checks_formula_atoms():
     with pytest.raises(RegistrationError, match="names no feature or option"):
         build_registry([bad_constraint], MODEL)
     bad_applicability = _component(
-        behaviors=(Behavior("d", "declare", Atom("C.ghost"), _noop),)
+        behaviors=(Behavior("d", Atom("C.ghost"), _noop),)
     )
     with pytest.raises(RegistrationError, match="names no feature or option"):
         build_registry([bad_applicability], MODEL)
     # Qualified atoms may point at any registered component's options.
     provider = _component("P", interface=ComponentInterface(options=(OptionDecl("on", "flag", True),)))
-    user = _component("U", behaviors=(Behavior("d", "declare", Atom("P.on"), _noop),))
+    user = _component("U", behaviors=(Behavior("d", Atom("P.on"), _noop),))
     assert build_registry([provider, user], MODEL).ids() == ("P", "U")
 
 

@@ -66,7 +66,7 @@ def test_compose_reference_full_schedule():
         "Types",
     )
     assert composed.fact_cycle == ()
-    steps = [(s.phase, s.component_id, s.behavior) for s in composed.full_schedule]
+    steps = [(s.phase, s.component.id, s.behavior.name) for s in composed.full_schedule]
     assert steps == [
         ("restrict", "CoreFrontEnd", "restrict_core"),
         ("restrict", "FeatureGuard", "restrict_features"),
@@ -78,7 +78,7 @@ def test_compose_reference_full_schedule():
         ("declare", "Factory", "declare_factory"),
     ]
     # Producers precede consumers; lexicographic tie between Builder and Factory.
-    declare_ids = [s.component_id for s in composed.full_schedule if s.phase == "declare"]
+    declare_ids = [s.component.id for s in composed.full_schedule if s.phase == "declare"]
     assert declare_ids.index("Types") < declare_ids.index("Builder") < declare_ids.index("Factory")
 
 
@@ -185,12 +185,12 @@ def test_schedule_filters_by_applicability():
     base = ("CD2Java", "Types", "Class")
     composed = compose_reference(base + ("Enum",))
     with_enum = _schedule(composed, make_spec(base + ("Enum",), "out"))
-    names = [s.behavior for s in with_enum]
+    names = [s.behavior.name for s in with_enum]
     assert "declare_enums" in names
 
     composed = compose_reference(base)
     without = _schedule(composed, make_spec(base, "out"))
-    names = [s.behavior for s in without]
+    names = [s.behavior.name for s in without]
     assert "declare_enums" not in names
     assert "declare_classes" in names
 
@@ -227,24 +227,14 @@ def test_schedule_is_deterministic_across_orders(trees, selected, mode):
     assert _schedule(composed, spec) == _schedule(canonical, spec)
 
 
-def test_behavior_lookup():
-    composed = compose_reference(ALL_FEATURES)
-    step = composed.full_schedule[0]
-    comp, beh = composed.behavior(step)
-    assert comp.id == step.component_id
-    assert beh.name == step.behavior
-    with pytest.raises(KeyError):
-        composed.component("Ghost")
-
-
 def test_applicability_atoms_can_reference_options():
     flag_user = _component(
         "Flagged",
-        behaviors=(Behavior("declare_x", "declare", Atom("Flagged.on"), _noop),),
+        behaviors=(Behavior("declare_x", Atom("Flagged.on"), _noop),),
         interface=ComponentInterface(options=(OptionDecl("on", "flag", False),)),
     )
     composed = compose_all([flag_user])
     spec_off = make_spec(("CD2Java",), "out")
     assert _schedule(composed, spec_off) == ()
     spec_on = make_spec(("CD2Java",), "out", options={"Flagged.on": True})
-    assert [s.behavior for s in _schedule(composed, spec_on)] == ["declare_x"]
+    assert [s.behavior.name for s in _schedule(composed, spec_on)] == ["declare_x"]

@@ -288,7 +288,6 @@ def feature_models(draw, max_features: int = 12) -> FeatureModel:
             group = FeatureGroup(kind, tuple(names[m] for m in members))
         features[names[i]] = Feature(
             id=names[i],
-            name=names[i],
             parent=None if parents[i] is None else names[parents[i]],
             variability=draw(st.sampled_from((OPTIONAL, OPTIONAL, MANDATORY))),
             children=tuple(names[k] for k in kids),

@@ -176,27 +176,69 @@ def test_a_claim_by_another_component_names_both():
 
 
 _PATH_PIECES = ("a", ".", "..", "/", "trace.map", "gencache.map")
+# Characters that str.split() or str.splitlines() break on, some of them outside ASCII.
+_WHITESPACE_PIECES = (" ", "\t", "\n", "\x1c", "\xa0", "\u2028")
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(_PATH_PIECES), max_size=6).map("".join))
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PATH_PIECES + _WHITESPACE_PIECES), max_size=6).map("".join))
 @example("")
 @example("//a")
 @example("a/")
 @example("./a")
 @example("a/./a")
 @example("a/trace.map")
+@example("a b.oo")
+@example("a\tb.oo")
+@example("a\nb.oo")
+@example("a\u2028b.oo")
 def test_claim_path_rule_matches_the_pure_path_rule(path):
+    """A claim is refused where the pure path rule refuses it, and where the
+    path holds whitespace, which the trace and cache maps split their lines
+    on. Every accepted path survives both maps' text form."""
     comp = _mk("C")
     ctx = _declaring(comp)
     try:
         ctx.claim(comp, path, "p", lambda: _unit(path, "C"))
     except EngineError as exc:
-        assert "artifact path must be relative" in str(exc)
+        assert repr(path) in str(exc)
+        assert "artifact path must be relative" in str(exc) or "a file of the engine" in str(exc)
         refused = True
     else:
         refused = False
-    assert refused == refused_artifact_path(path)
+        region = TraceRegion(1, 3, ("core",), "C")
+        trace = TraceIndex.from_text(TraceIndex({path: [region]}).to_text())
+        assert trace.by_artifact == {path: (region,)}
+        cache = GenCache({path: ("0" * 64, "f" * 64)})
+        assert GenCache.from_text(cache.to_text()).entries == cache.entries
+    assert refused == (refused_artifact_path(path) or any(c.isspace() for c in path))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("A.oo", "A.oo/B.oo"), ("A.oo/B.oo", "A.oo"), ("p/q/A.oo", "p/q"), ("p/q", "p/q/r/A.oo")],
+)
+def test_nested_claims_are_refused_in_either_order(first, second):
+    one, two = _mk("First"), _mk("Second")
+    ctx = _declaring(one, two)
+    ctx.claim(one, first, "a", lambda: _unit(first, "First"))
+    with pytest.raises(EngineError) as err:
+        ctx.claim(two, second, "b", lambda: _unit(second, "Second"))
+    for name in (repr(first), repr(second), "'First'", "'Second'"):
+        assert name in str(err.value)
+    assert list(ctx.claim_meta) == [first]
+
+
+@pytest.mark.parametrize("path", ["trace.map/x.oo", "gencache.map/x.oo", "gencache.map/p/x.oo"])
+def test_a_claim_inside_an_engine_file_is_refused(path):
+    comp = _mk("C")
+    ctx = _declaring(comp)
+    with pytest.raises(EngineError) as err:
+        ctx.claim(comp, path, "p", lambda: _unit(path, "C"))
+    folder = path.partition("/")[0]
+    for name in (repr(path), repr(folder), "'C'", "the engine"):
+        assert name in str(err.value)
+    assert ctx.claim_meta == {}
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +282,7 @@ def test_syntax_gate_reports_the_position_check_unit_finds(tmp_path):
     def declare(ctx, comp):
         ctx.claim(comp, "B.oo", "b", lambda: bad)
 
-    comp = _mk("C", (Behavior("declare_b", "declare", TRUE, declare),))
+    comp = _mk("C", (Behavior("declare_b", TRUE, declare),))
     spec = make_spec(("CD2Java",), tmp_path / "out")
     report = generate(compose_all([comp]), EMPTY_DIAGRAM, spec)
     assert report.failed_stage == "syntax"
@@ -356,7 +398,7 @@ def test_generate_minimal_component(tmp_path):
 
         ctx.claim(comp, "A.oo", "unit/A", build)
 
-    comp = _mk("Simple", (Behavior("declare_a", "declare", TRUE, declare),))
+    comp = _mk("Simple", (Behavior("declare_a", TRUE, declare),))
     out = tmp_path / "out"
     report = generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), out))
     assert report.ok
@@ -430,7 +472,7 @@ def test_generate_claim_conflict_names_both(tmp_path):
     def declare(ctx, comp):
         ctx.claim(comp, "Person.oo", "squat", lambda: _unit("Person.oo", comp.id))
 
-    squatter = _mk("Squatter", (Behavior("declare_squat", "declare", TRUE, declare),))
+    squatter = _mk("Squatter", (Behavior("declare_squat", TRUE, declare),))
     components = list(compose_reference(FULL_GEN).components) + [squatter]
     composed = compose_all(components)
     out = tmp_path / "out"
@@ -465,7 +507,7 @@ def test_generate_hook_failure_blocks_output(tmp_path):
         ctx.publish(comp, "hook.required", "MissingProvider")
 
     comp = _mk(
-        "Needy", (Behavior("declare_a", "declare", TRUE, declare),), produces=("hook.required",)
+        "Needy", (Behavior("declare_a", TRUE, declare),), produces=("hook.required",)
     )
     out = tmp_path / "out"
     report = generate(
@@ -510,7 +552,7 @@ def test_phase_discipline_is_enforced(tmp_path, misuse):
         ctx.claim(comp, "A.oo", "a", build)
 
     comp = _mk(
-        "Bad", (Behavior("declare_a", "declare", TRUE, declare),), produces=("method.generated",)
+        "Bad", (Behavior("declare_a", TRUE, declare),), produces=("method.generated",)
     )
     out = tmp_path / "o"
     with pytest.raises(EngineError, match=f"{misuse} is only allowed in the declare phase"):
@@ -523,7 +565,7 @@ def test_a_builder_must_return_its_claims_container(tmp_path, built):
     def declare(ctx, comp):
         ctx.claim(comp, "A.oo", "a", lambda: _unit(*built))
 
-    comp = _mk("Owner", (Behavior("declare_a", "declare", TRUE, declare),))
+    comp = _mk("Owner", (Behavior("declare_a", TRUE, declare),))
     out = tmp_path / "o"
     wrong = "'A.oo', claimed by 'Owner', returned '{}' built for '{}'".format(*built)
     with pytest.raises(EngineError, match=wrong):
@@ -538,7 +580,7 @@ def test_a_path_claimed_twice_by_one_component_is_refused(tmp_path):
         for text in ("first", "second"):
             ctx.claim(comp, "A.oo", "a", lambda t=text: built.append(t) or _unit("A.oo", comp.id))
 
-    comp = _mk("Owner", (Behavior("declare_a", "declare", TRUE, declare),))
+    comp = _mk("Owner", (Behavior("declare_a", TRUE, declare),))
     out = tmp_path / "o"
     with pytest.raises(EngineError, match="artifact 'A.oo' claimed twice by 'Owner'"):
         generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), out))
@@ -573,7 +615,7 @@ def test_claim_paths_stay_inside_the_output(tmp_path, claimed):
     def declare(ctx, comp):
         ctx.claim(comp, path, "hostile", lambda: _unit(path, comp.id))
 
-    hostile = _mk("Hostile", (Behavior("declare_h", "declare", TRUE, declare),))
+    hostile = _mk("Hostile", (Behavior("declare_h", TRUE, declare),))
     composed = compose_reference(FULL_GEN)
     spec = make_spec(FULL_GEN, tmp_path / "out")
     assert generate(composed, _small_diagram(), spec).ok
@@ -588,7 +630,7 @@ def test_publish_requires_declared_topic(tmp_path):
         ctx.claim(comp, "A.oo", "a", lambda: _unit("A.oo", comp.id))
         ctx.publish(comp, "method.generated", "A.f")
 
-    comp = _mk("Undeclared", (Behavior("declare_a", "declare", TRUE, declare),))
+    comp = _mk("Undeclared", (Behavior("declare_a", TRUE, declare),))
     with pytest.raises(BlackboardError, match="does not declare producing"):
         generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o"))
 
@@ -798,7 +840,7 @@ def test_incremental_reuses_artifacts_in_subdirectories(tmp_path):
                 lambda p=path, b=body: _unit(p, comp.id, "package P;\n" + b),
             )
 
-    comp = _mk("Nested", (Behavior("declare_n", "declare", TRUE, declare),))
+    comp = _mk("Nested", (Behavior("declare_n", TRUE, declare),))
     composed = compose_all([comp])
     out = tmp_path / "out"
     spec = make_spec(("CD2Java",), out)
@@ -834,7 +876,7 @@ def test_builders_run_only_for_misses(tmp_path):
 
             ctx.claim(comp, f"{cls.name}.oo", canonical_type_text(cls), build)
 
-    composed = compose_all([_mk("Counted", (Behavior("declare_c", "declare", TRUE, declare),))])
+    composed = compose_all([_mk("Counted", (Behavior("declare_c", TRUE, declare),))])
     spec = make_spec(("CD2Java",), tmp_path / "out")
     assert generate(composed, _small_diagram(), spec).ok
     assert built == ["Person.oo", "Receipt.oo"]

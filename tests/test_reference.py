@@ -264,7 +264,7 @@ def test_registry_invariants():
     assert factory.interface.variation_point("factory_method_prefix").default == "create%s"
     fronts = [c for c in registry.components if c.kind == "front_end"]
     assert {c.id for c in fronts} == {"CoreFrontEnd", "FeatureGuard"}
-    assert all(b.phase == "restrict" for c in fronts for b in c.behaviors)
+    assert [b.name for c in fronts for b in c.behaviors] == ["restrict_core", "restrict_features"]
 
 
 def test_components_are_fresh_instances():
