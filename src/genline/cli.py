@@ -44,6 +44,8 @@ from .generation import (
     generate,
     incremental_generate,
     recover_interrupted_swap,
+    run_digest,
+    unchanged_run,
 )
 from .lexing import TextSyntaxError
 from .report import ValidationReport
@@ -218,23 +220,16 @@ def _cmd_derive(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def _read_diagram(spec: VariantSpec):
-    if not spec.model_path:
-        raise UsageError(f"variant {spec.name!r} names no input model")
-    return parse_class_diagram(_read_input(spec.model_path, "input model"))
-
-
 def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     model = _load_model(args.model)
     spec = _load_spec(args.spec)
-    code, composed, _ = _derive(model, spec, err)
+    code, composed, bindings = _derive(model, spec, err)
     if composed is None:
         return code
-    try:
-        diagram = _read_diagram(spec)
-    except TextSyntaxError as exc:
-        print(f"input model {spec.model_path!r}: {exc}", file=err)
-        return EXIT_CONFIG
+    if not spec.model_path:
+        raise UsageError(f"variant {spec.name!r} names no input model")
+    model_text = _read_input(spec.model_path, "input model")
+    report = None
     if args.incremental:
         cache_dir = Path(args.cache or spec.output_path)
         if args.cache:
@@ -251,18 +246,29 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         except OSError:
             old_text = None
         cache = GenCache.from_text((old_text or b"").decode("utf-8", errors="replace"))
-        report, new_cache = incremental_generate(composed, diagram, spec, cache)
-        new_text = new_cache.to_text().encode("utf-8")
-        # A swap drops a cache map kept in the output directory; a run that
-        # changed nothing leaves it, and it already holds this text.
-        if report.ok and (new_text != old_text or not cache_path.is_file()):
-            try:
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                cache_path.write_bytes(new_text)
-            except OSError as exc:
-                raise GenerationIOError(f"cannot write {str(cache_path)!r}: {exc}") from exc
-    else:
-        report = generate(composed, diagram, spec)
+        # Unchanged inputs over the output they wrote: done without parsing the model.
+        digest = run_digest(model_text, spec, composed, bindings)
+        report = unchanged_run(spec.output_path, cache, digest)
+    if report is None:
+        try:
+            diagram = parse_class_diagram(model_text)
+        except TextSyntaxError as exc:
+            print(f"input model {spec.model_path!r}: {exc}", file=err)
+            return EXIT_CONFIG
+        if args.incremental:
+            report, new_cache = incremental_generate(composed, diagram, spec, cache)
+            new_cache.run = (digest, report.facts_count)
+            new_text = new_cache.to_text().encode("utf-8")
+            # A swap drops a cache map kept in the output directory; a run that
+            # changed nothing leaves it, and it already holds this text.
+            if report.ok and (new_text != old_text or not cache_path.is_file()):
+                try:
+                    cache_path.parent.mkdir(parents=True, exist_ok=True)
+                    cache_path.write_bytes(new_text)
+                except OSError as exc:
+                    raise GenerationIOError(f"cannot write {str(cache_path)!r}: {exc}") from exc
+        else:
+            report = generate(composed, diagram, spec)
     if not report.ok:
         print(f"generation failed in the {report.failed_stage} stage", file=err)
         _print_violations(report.violations, err)

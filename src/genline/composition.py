@@ -32,6 +32,7 @@ CMP_CONSTRAINT = "CMP-CONSTRAINT"
 CMP_NO_PRODUCER = "CMP-NO-PRODUCER"
 CMP_FACT_CYCLE = "CMP-FACT-CYCLE"
 CMP_CONCERN_CLASH = "CMP-CONCERN-CLASH"
+CMP_KIND = "CMP-KIND"
 
 _PHASE_RANK = {phase: rank for rank, phase in enumerate(PHASE_OF_KIND.values())}
 
@@ -134,7 +135,8 @@ def compose(left: Composable, right: Composable) -> ComposedGenerator:
 
     The result is canonical in the member set: composing in any order or
     grouping yields an identical generator. Raises CompositionFault on
-    duplicate component ids or conflicting concern descriptions.
+    duplicate component ids, a component kind outside PHASE_OF_KIND or
+    conflicting concern descriptions.
     """
     return compose_all(_members(left) + _members(right))
 
@@ -147,6 +149,10 @@ def compose_all(components: Iterable[GeneratorComponent]) -> ComposedGenerator:
         if comp.id in seen:
             raise CompositionFault(
                 CMP_DUP_ID, f"component id {comp.id!r} appears more than once", (comp.id,)
+            )
+        if comp.kind not in PHASE_OF_KIND:
+            raise CompositionFault(
+                CMP_KIND, f"component {comp.id!r} has the unknown kind {comp.kind!r}", (comp.id,)
             )
         seen[comp.id] = comp
     # Identical duplicate concerns merge; the same id described differently

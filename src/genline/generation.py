@@ -14,6 +14,14 @@ or a file already on disk with the same bytes, is hard-linked into the stage,
 never rewritten, and a run that changes nothing leaves the output directory
 alone. The engine looks at that directory once per run: one resolved path and
 one scan serve every step.
+
+An incremental run whose inputs are unchanged need not run the engine at all.
+The cache map's run line records a digest of everything the run read (see
+``run_digest``), its facts count and the trace map's content digest. When the
+digest matches and the output directory still holds exactly the recorded
+files with their recorded bytes, ``unchanged_run`` returns the report of a run
+that reused every artifact, without parsing the input model or running any
+stage; anything else falls through to the engine.
 """
 
 from __future__ import annotations
@@ -253,26 +261,55 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class GenCache:
-    """Per-artifact (key digest, content digest) pairs from a previous run."""
+_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
+_RUN = "run"  # first field of the cache map's run line
 
-    def __init__(self, entries: Mapping[str, tuple[str, str]] | None = None):
+
+class GenCache:
+    """Per-artifact (key digest, content digest) pairs from a previous run.
+
+    ``trace`` is the content digest of the trace map written with them, and
+    ``run`` the run digest (see ``run_digest``) and facts count of the run
+    that wrote them. The map keeps both on one run line,
+    ``run <run digest> <facts count> <trace digest>``, written when both are known.
+    """
+
+    def __init__(
+        self,
+        entries: Mapping[str, tuple[str, str]] | None = None,
+        trace: str = "",
+        run: tuple[str, int] | None = None,
+    ):
         self.entries: dict[str, tuple[str, str]] = dict(entries or {})
+        self.trace = trace
+        self.run = run
 
     def to_text(self) -> str:
         lines = [
             f"{path} {key} {content}"
             for path, (key, content) in sorted(self.entries.items())
         ]
+        if self.run is not None and self.trace:
+            lines.append(f"{_RUN} {self.run[0]} {self.run[1]} {self.trace}")
         return "".join(line + "\n" for line in lines)
 
     @staticmethod
     def from_text(text: str) -> "GenCache":
-        """Parse cache lines; a corrupt line is dropped (treated as a miss)."""
+        """Parse cache lines; a corrupt line is dropped (an artifact line is then a miss)."""
         entries: dict[str, tuple[str, str]] = {}
+        trace, run = "", None
         for raw in text.splitlines():
             parts = raw.split()
             if len(parts) != 3:
+                if len(parts) == 4 and parts[0] == _RUN:
+                    _, digest, facts, trace_digest = parts
+                    if (
+                        _HEX_DIGEST.fullmatch(digest)
+                        and _HEX_DIGEST.fullmatch(trace_digest)
+                        and facts.isascii()
+                        and facts.isdigit()
+                    ):
+                        trace, run = trace_digest, (digest, int(facts))
                 continue
             path, key, content = parts
             if len(key) != 64 or len(content) != 64:
@@ -283,7 +320,7 @@ class GenCache:
             except ValueError:
                 continue
             entries[path] = (key, content)
-        return GenCache(entries)
+        return GenCache(entries, trace, run)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +661,8 @@ def _run_engine(
         {
             path: (key, hits[path][0] if path in hits else _digest(files[path]))
             for path, key in keys.items()
-        }
+        },
+        trace=_digest(files[TRACE_FILE]),
     )
 
 
@@ -803,3 +841,64 @@ def incremental_generate(
     new state. On an aborted run the input cache is returned unchanged.
     """
     return _run_engine(composed, diagram, spec, cache=cache)
+
+
+# ---------------------------------------------------------------------------
+# Whole-run cutoff
+
+def run_digest(
+    model_text: str, spec: VariantSpec, composed: ComposedGenerator, bindings: Bindings
+) -> str:
+    """The digest of everything an incremental run's outputs depend on.
+
+    It covers the input model's text, the mode, the selected features, the
+    resolved ``bindings``, each composed component's ``id@version`` and
+    genline's version. Components are trusted to build the same output for
+    the same ``id@version``, as the per-artifact cache key trusts them.
+    Everything is sorted, so the digest repeats across processes.
+    """
+    from . import __version__
+
+    material = repr(
+        (
+            __version__,
+            spec.mode,
+            sorted(spec.configuration.selected),
+            [f"{comp.id}@{comp.version}" for comp in composed.components],
+            sorted((cid, sorted(values.items())) for cid, values in bindings.options.items()),
+            sorted((cid, sorted(texts.items())) for cid, texts in bindings.vps.items()),
+        )
+    )
+    return _digest(material + "\n" + model_text)
+
+
+def unchanged_run(out_dir: str | Path, cache: GenCache, digest: str) -> GenerationReport | None:
+    """The report of a run with inputs of ``digest`` if ``out_dir`` already holds its output.
+
+    That holds when the run line of ``cache`` has ``digest``, one scan of the
+    output lists the artifacts of ``cache`` and ``trace.map`` as regular files
+    and nothing else but a regular ``gencache.map`` and folders above an
+    artifact, and every one of those files hashes to its recorded content
+    digest. The report then lists every artifact as a cache hit, with the
+    recorded facts count and the trace read from ``trace.map``; nothing is
+    parsed, built or written. Otherwise it is None, and the engine must run.
+    """
+    if cache.run is None or cache.run[0] != digest or TRACE_FILE in cache.entries:
+        return None
+    out = os.path.realpath(out_dir)
+    snapshot = _scan(out)
+    recorded = {path: content for path, (_, content) in cache.entries.items()}
+    recorded[TRACE_FILE] = cache.trace  # last, so the loop leaves its bytes in ``data``
+    if _strays(snapshot, {*recorded, CACHE_FILE}):
+        return None
+    for path, content in recorded.items():
+        data = _read(out, path) if snapshot.get(path, _OTHER) >= 0 else None
+        if data is None or hashlib.sha256(data).hexdigest() != content:
+            return None
+    return GenerationReport(
+        written=(),
+        skipped_cache_hits=tuple(sorted(cache.entries)),
+        facts_count=cache.run[1],
+        violations=ValidationReport(),
+        trace=TraceIndex.from_text(data.decode("utf-8", errors="replace")),
+    )

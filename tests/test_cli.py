@@ -598,21 +598,156 @@ def test_generate_incremental_cache_under_a_file(tmp_path):
     assert afile.read_text() == "not a cache\n"
 
 
+def _spy(monkeypatch, name: str, replace=None) -> list:
+    """Record the results of ``genline.cli.<name>``; ``replace`` stands in for it."""
+    real = getattr(genline.cli, name)
+    results = []
+
+    def spy(*args, **kwargs):
+        result = (replace or real)(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(genline.cli, name, spy)
+    return results
+
+
+def test_generate_incremental_no_change_run_is_cut_off(tmp_path, monkeypatch):
+    vsp = write_variant(tmp_path, features=", ".join(ALL_FEATURES), mode="hybrid", cdl=COVERING_CDL)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold, before = read_tree(out_dir), _file_stats(out_dir)
+
+    # The cutoff answers: no input model is parsed and the engine does not run.
+    reports = _spy(monkeypatch, "unchanged_run")
+    monkeypatch.setattr(genline.cli, "parse_class_diagram", None)  # not callable
+    monkeypatch.setattr(genline.cli, "incremental_generate", None)
+    code, cut_out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert (code, err) == (EXIT_OK, "")
+    [report] = reports
+    assert report.trace.to_text() == (out_dir / "trace.map").read_text()
+    assert read_tree(out_dir) == cold and _file_stats(out_dir) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+
+    # Today's path, through the engine, prints the same and changes nothing either.
+    monkeypatch.undo()
+    _spy(monkeypatch, "unchanged_run", replace=lambda *args: None)
+    engine_reports = _spy(monkeypatch, "incremental_generate")
+    code, engine_out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert (code, err) == (EXIT_OK, "")
+    assert engine_out == cut_out
+    assert "written: none\n" in cut_out and "facts: " in cut_out
+    [(engine_report, _)] = engine_reports
+    assert engine_report.trace.to_text() == report.trace.to_text()
+    assert read_tree(out_dir) == cold and _file_stats(out_dir) == before
+
+
+def _break_run(tmp_path: Path, damage: str) -> None:
+    out_dir = tmp_path / "out"
+    if damage.startswith("flip "):  # one byte changed, the size kept
+        target = out_dir / damage[5:]
+        data = bytearray(target.read_bytes())
+        data[3] ^= 1
+        target.write_bytes(bytes(data))
+    elif damage == "deleted artifact":
+        (out_dir / "Receipt.oo").unlink()
+    elif damage == "deleted trace":
+        (out_dir / "trace.map").unlink()
+    elif damage == "stray file":
+        (out_dir / "notes.txt").write_text("scratch\n")
+    elif damage == "empty folder":
+        (out_dir / "sub").mkdir()
+    elif damage == "symlink":  # the same bytes, through a link
+        target = out_dir / "Person.oo"
+        target.rename(tmp_path / "Person.copy")
+        target.symlink_to(tmp_path / "Person.copy")
+    elif damage == "binding":
+        write_variant(tmp_path, extra='  bind Factory.factory_method_prefix = "make%s";\n')
+    elif damage == "mode":
+        write_variant(tmp_path, mode="run_time")
+    elif damage == "feature":
+        write_variant(tmp_path, features=GEN_FEATURES.replace(", Builder", ""))
+    else:
+        raise AssertionError(damage)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "flip Person.oo", "flip trace.map", "deleted artifact", "deleted trace", "stray file",
+        "empty folder", "symlink", "binding", "mode", "feature",
+    ],
+)
+def test_generate_incremental_falls_through_to_the_engine(tmp_path, monkeypatch, damage):
+    vsp = write_variant(tmp_path)
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    _break_run(tmp_path, damage)
+    engine_reports = _spy(monkeypatch, "incremental_generate")
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert len(engine_reports) == 1
+    # The result is the tree a first run of the same variant writes elsewhere.
+    (tmp_path / "cold").mkdir()
+    shutil.copy(tmp_path / "shop.cdl", tmp_path / "cold" / "shop.cdl")
+    shutil.copy(vsp, tmp_path / "cold" / "demo.vsp")
+    assert run("generate", "--incremental", "-s", str(tmp_path / "cold" / "demo.vsp"))[0] == EXIT_OK
+    assert read_tree(tmp_path / "out") == read_tree(tmp_path / "cold" / "out")
+    assert not (tmp_path / "out" / "Person.oo").is_symlink()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["no run line", "bad digest", "count not an integer", "extra field", "gone file"],
+)
+def test_generate_incremental_with_a_damaged_run_line(tmp_path, monkeypatch, damage):
+    vsp = write_variant(tmp_path)
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(tmp_path / "out")
+    cache_map = tmp_path / "out" / "gencache.map"
+    text = cache_map.read_bytes()
+    body, _, run_line = text.rstrip(b"\n").rpartition(b"\n")
+    assert run_line.startswith(b"run ")
+    fields = run_line.split()
+    if damage == "no run line":
+        run_line = b""
+    elif damage == "bad digest":
+        run_line = b" ".join([fields[0], fields[1][:-1] + b"g", *fields[2:]])
+    elif damage == "count not an integer":
+        run_line = b" ".join([*fields[:2], b"1.5", fields[3]])
+    elif damage == "extra field":
+        run_line += b" 7"
+    else:  # the run line stands, but the map lists an artifact that is gone
+        body += b"\nGone.oo " + fields[1] + b" " + fields[3]
+    cache_map.write_bytes(body + b"\n" + run_line + b"\n")
+    engine_reports = _spy(monkeypatch, "incremental_generate")
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert len(engine_reports) == 1
+    assert "written: none\n" in out
+    assert read_tree(tmp_path / "out") == cold  # the engine wrote the map again
+
+
 @pytest.mark.parametrize(
     "damaged, command, expected",
     [
         ("bad.fml", ("validate", "-c", "CD2Java", "-m", "{tmp}/bad.fml"), EXIT_USAGE),
         ("out/gencache.map", ("generate", "--incremental", "-s", "{vsp}"), EXIT_OK),
+        ("out/gencache.map run", ("generate", "--incremental", "-s", "{vsp}"), EXIT_OK),
         ("out/Person.oo", ("generate", "--incremental", "-s", "{vsp}"), EXIT_OK),
         ("out/trace.map", ("trace", "-s", "{vsp}", "--artifact", "Person.oo"), EXIT_OK),
     ],
-    ids=["model", "cache", "artifact", "trace"],
+    ids=["model", "cache", "run line", "artifact", "trace"],
 )
 def test_bytes_that_are_not_utf8_never_raise(tmp_path, damaged, command, expected):
     vsp = write_variant(tmp_path)
     assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
     cold = read_tree(tmp_path / "out")
-    (tmp_path / damaged).write_bytes(b"\xff\xfe")
+    damaged, _, line = damaged.partition(" ")
+    if line:  # only the cache map's run line, whose digest gets a byte that is not UTF-8
+        data = (tmp_path / damaged).read_bytes()
+        (tmp_path / damaged).write_bytes(data.replace(b"\nrun ", b"\nrun \xfe", 1))
+    else:
+        (tmp_path / damaged).write_bytes(b"\xff\xfe")
     code, out, err = run(*(arg.format(tmp=tmp_path, vsp=vsp) for arg in command))
     assert code == expected, err
     if command[0] == "validate":
@@ -835,14 +970,15 @@ def test_benchmark_hook_points_see_a_generate(tmp_path, monkeypatch):
     assert tracer.counts["lexing.tokens"] > 0
 
 
-def test_benchmark_hook_points_see_an_incremental_rerun(tmp_path, monkeypatch):
-    # The sibling of the test above for a no-change --incremental run, which
-    # reuses every artifact and so emits and checks none.
+def _trace_an_incremental_rerun(tmp_path, monkeypatch, cdl_after: str):
+    """Spans and stdout of a traced ``--incremental`` run over ``cdl_after``,
+    after a first untraced run over the covering diagram."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "genbench"))
     import tracing
 
     vsp = write_variant(tmp_path, features=", ".join(ALL_FEATURES), mode="hybrid", cdl=COVERING_CDL)
     assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    (tmp_path / "shop.cdl").write_text(cdl_after)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -850,14 +986,45 @@ def test_benchmark_hook_points_see_an_incremental_rerun(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert code == EXIT_OK, err
+    return {name for name, *_ in tracer.spans}, {name for *_, name in tracing.SPAN_POINTS}, out
+
+
+def test_benchmark_hook_points_see_an_incremental_rerun(tmp_path, monkeypatch):
+    # The sibling of the test above for a no-change --incremental run. The
+    # whole-run cutoff finds the inputs and outputs unchanged, so it parses no
+    # input model and runs no engine stage: of the engine's spans only the
+    # trace map's parse remains. The feature model is still parsed, so
+    # lexing.tokenize stays.
+    spans, points, out = _trace_an_incremental_rerun(tmp_path, monkeypatch, COVERING_CDL)
     assert "written: none\n" in out
-    spans = {name for name, *_ in tracer.spans}
-    points = {name for *_, name in tracing.SPAN_POINTS}
     not_in_rerun = {
         "featuremodel.enumerate_configurations",
+        "classdiagram.parse_class_diagram",
+        "classdiagram.check_context_conditions",
+        "composition.schedule",
         "generation.generate",
+        "generation.incremental_generate",
+        "generation.Blackboard.query",
+        "generation.TraceIndex.to_text",
         "ootl.check_unit",
         *(name for name in points if name.startswith("reference.")),
     }
     assert spans == points - not_in_rerun
-    assert len(spans) == 15
+    assert len(spans) == 9
+
+
+def test_benchmark_hook_points_see_an_incremental_edit(tmp_path, monkeypatch):
+    # After a one-line edit of the input model the run goes through the
+    # engine: every span of today's engine path is seen, and the builders and
+    # syntax check of the two artifacts the edit changed.
+    edited = COVERING_CDL.replace("level: int;", "level: string;")
+    spans, points, out = _trace_an_incremental_rerun(tmp_path, monkeypatch, edited)
+    assert "written: Manager.oo, ManagerBuilder.oo\n" in out
+    rebuilt = {"ootl.check_unit", "reference.class_artifact", "reference.builder_emit"}
+    not_in_edit = {
+        "featuremodel.enumerate_configurations",
+        "generation.generate",
+        *(name for name in points if name.startswith("reference.") and name not in rebuilt),
+    }
+    assert spans == points - not_in_edit
+    assert len(spans) == 18

@@ -18,6 +18,7 @@ from genline.composition import (
     CMP_CONSTRAINT,
     CMP_DUP_ID,
     CMP_FACT_CYCLE,
+    CMP_KIND,
     CMP_NO_PRODUCER,
     CompositionFault,
     compose,
@@ -113,6 +114,16 @@ def test_compose_concern_clash_fault():
     assert err.value.code == CMP_CONCERN_CLASH
     assert err.value.involved == ("A", "B")
     assert "naming" in err.value.detail
+
+
+def test_compose_all_rejects_an_unknown_kind():
+    # Only build_registry checks the kind; a caller may compose without a registry.
+    middle = _component("Middle", kind="middle", behaviors=(Behavior("run", TRUE, _noop),))
+    with pytest.raises(CompositionFault) as err:
+        compose_all([_component("A"), middle])
+    assert err.value.code == CMP_KIND
+    assert err.value.involved == ("Middle",)
+    assert str(err.value) == "CMP-KIND: component 'Middle' has the unknown kind 'middle'"
 
 
 def test_compose_merges_identical_duplicate_concerns():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -33,6 +36,8 @@ from genline.generation import (
     generate,
     incremental_generate,
     resolve_hooks,
+    run_digest,
+    unchanged_run,
 )
 
 from helpers import compose_reference, make_spec, read_tree, refused_artifact_path
@@ -368,6 +373,27 @@ def test_gencache_round_trip_and_corruption():
         "\n"
     )
     assert list(corrupt.entries) == ["A.oo"]
+    assert (corrupt.run, corrupt.trace) == (None, "")
+
+    # The run line: written only with both the run and the trace digest known.
+    other = hashlib.sha256(b"y").hexdigest()
+    assert GenCache(cache.entries, trace=other).to_text() == cache.to_text()
+    ran = GenCache(cache.entries, trace=other, run=(digest, 12))
+    assert ran.to_text() == cache.to_text() + f"run {digest} 12 {other}\n"
+    again = GenCache.from_text(ran.to_text())
+    assert (again.entries, again.trace, again.run) == (cache.entries, other, (digest, 12))
+    artifacts = cache.to_text()
+    for damaged in (
+        f"run {'z' * 64} 12 {other}",  # a run digest that is not one
+        f"run {digest} 12 {other[:-1]}",  # a trace digest one digit short
+        f"run {digest} twelve {other}",  # a count that is not an integer
+        f"run {digest} -12 {other}",
+        f"run {digest} \u0661\u0662 {other}",  # digits, but not ASCII ones
+        f"run {digest} 12 {other} extra",  # a field too many
+        f"run {digest} 12",  # two too few
+    ):
+        parsed = GenCache.from_text(artifacts + damaged + "\n")
+        assert (parsed.entries, parsed.run, parsed.trace) == (cache.entries, None, ""), damaged
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +958,7 @@ _CLASS_NAMES = ("Alpha", "Beta", "Gamma")
 _ATTR_NAMES = ("id", "size", "label")
 
 _EDITS = st.one_of(
+    st.tuples(st.just("none"), st.none()),
     st.tuples(st.just("add"), st.sampled_from(_CLASS_NAMES)),
     st.tuples(st.just("remove"), st.sampled_from(_CLASS_NAMES)),
     st.tuples(st.just("rename"), st.sampled_from(_CLASS_NAMES), st.sampled_from(_ATTR_NAMES)),
@@ -965,8 +992,85 @@ def _cdl(classes: dict) -> str:
     return "classdiagram Shop {\n" + body + "}\n"
 
 
+_SAMPLE_DIGEST = """
+import sys
+from pathlib import Path
+sys.path.insert(0, {src!r})
+from genline import (
+    build_reference_registry, check_bindings, compose_all, parse_variant_spec,
+    reference_feature_model, resolve_components,
+)
+from genline.generation import run_digest
+vsp = Path({vsp!r})
+spec = parse_variant_spec(vsp.read_text(encoding="utf-8"), base_dir=str(vsp.parent))
+registry = build_reference_registry(reference_feature_model())
+composed = compose_all(resolve_components(spec.configuration, registry))
+bindings = check_bindings(spec, composed.components)
+print(run_digest(Path(spec.model_path).read_text(encoding="utf-8"), spec, composed, bindings))
+"""
+
+
+def test_run_digest_repeats_across_hash_seeds():
+    # Sets and dicts iterate in an order that depends on the hash seed; an
+    # unsorted one in the digest would make the cutoff miss between two
+    # genline invocations.
+    root = Path(__file__).resolve().parents[1]
+    code = _SAMPLE_DIGEST.format(src=str(root / "src"), vsp=str(root / "samples" / "shop.vsp"))
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1
+    assert len(digests.pop()) == 64
+
+
+def test_run_digest_covers_every_input(tmp_path):
+    composed = compose_reference(FULL_GEN)
+    spec = make_spec(FULL_GEN, tmp_path / "out")
+
+    def digest(text=SMALL_CDL, spec=spec, composed=composed):
+        return run_digest(text, spec, composed, check_bindings(spec, composed.components))
+
+    bumped = compose_all(
+        dataclasses.replace(c, version="9.9.9") if c.id == "Builder" else c
+        for c in composed.components
+    )
+    variants = [
+        digest(),
+        digest(text=SMALL_CDL.replace("age", "years")),
+        digest(spec=make_spec(FULL_GEN, tmp_path / "out", mode="hybrid")),
+        digest(spec=make_spec(FULL_GEN, tmp_path / "out", options={"Types.generate_enums": True})),
+        digest(spec=make_spec(FULL_GEN, tmp_path / "out", binds={"Factory.factory_method_prefix": "make%s"})),
+        digest(composed=bumped),
+    ]
+    assert len(set(variants)) == len(variants)
+    fewer = FULL_GEN[:-1]  # without Factory: another feature set and component list
+    assert digest(spec=make_spec(fewer, tmp_path / "out"), composed=compose_reference(fewer)) not in variants
+    # Where the output goes and what the variant is called are not inputs.
+    assert digest(spec=make_spec(FULL_GEN, tmp_path / "elsewhere", name="other")) == variants[0]
+
+
+def _rerun(composed, text: str, spec, cache_text: str) -> tuple[object, str, bool]:
+    """An incremental run as ``genline generate --incremental`` makes it: the
+    whole-run cutoff first, then the engine. Returns the report, the new cache
+    map text and whether the cutoff answered."""
+    cache = GenCache.from_text(cache_text)
+    digest = run_digest(text, spec, composed, check_bindings(spec, composed.components))
+    report = unchanged_run(spec.output_path, cache, digest)
+    if report is not None:
+        return report, cache_text, True
+    report, cache = incremental_generate(composed, parse_class_diagram(text), spec, cache)
+    cache.run = (digest, report.facts_count)
+    return report, cache.to_text(), False
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_EDITS, min_size=1, max_size=4))
+@example([("none", None)])
 def test_incremental_equals_cold_over_edit_scripts(edits):
     composed = compose_reference(FULL_GEN)
     classes, prefix = {"Alpha": (False, "id"), "Beta": (False, "size")}, "create%s"
@@ -976,17 +1080,21 @@ def test_incremental_equals_cold_over_edit_scripts(edits):
         def spec(out):
             return make_spec(FULL_GEN, out, binds={"Factory.factory_method_prefix": prefix})
 
-        report, cache = incremental_generate(
-            composed, parse_class_diagram(_cdl(classes)), spec(warm_dir), GenCache()
-        )
+        report, cache_text, _ = _rerun(composed, _cdl(classes), spec(warm_dir), "")
         assert report.ok
         for edit in edits:
+            before = _cdl(classes), prefix
             classes, prefix = _edited(classes, prefix, edit)
-            diagram = parse_class_diagram(_cdl(classes))
-            report, cache = incremental_generate(composed, diagram, spec(warm_dir), cache)
+            report, cache_text, cut = _rerun(composed, _cdl(classes), spec(warm_dir), cache_text)
             assert report.ok, report.violations
-            assert generate(composed, diagram, spec(cold_dir)).ok
+            # Only a run whose inputs are unchanged may be cut off, and it always is.
+            assert cut == ((_cdl(classes), prefix) == before), edit
+            assert report.trace.to_text() == (warm_dir / TRACE_FILE).read_text()
+            cold = generate(composed, parse_class_diagram(_cdl(classes)), spec(cold_dir))
+            assert cold.ok
             assert read_tree(warm_dir) == read_tree(cold_dir), edit
+            assert report.facts_count == cold.facts_count
+            assert sorted(report.written + report.skipped_cache_hits) == list(cold.written)
 
 
 # ---------------------------------------------------------------------------
