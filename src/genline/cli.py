@@ -63,9 +63,17 @@ class UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    """-h or --help was given; the exception carries the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit(2)
         raise UsageError(message)
+
+    def print_help(self, file: TextIO | None = None) -> None:
+        # argparse would print to sys.stdout and exit(0); run_cli prints to ``out``.
+        raise _HelpShown(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -97,6 +105,11 @@ def _build_parser() -> _Parser:
     trace.add_argument("--feature", help="feature id to look up")
     trace.add_argument("--artifact", help="artifact path to look up")
     return parser
+
+
+# parse_args leaves the parser as it was, so one serves every call; the help
+# text is formatted when it is shown, for the terminal width at that moment.
+_PARSER = _build_parser()
 
 
 def _print_violations(report: ValidationReport, err: TextIO) -> None:
@@ -319,12 +332,14 @@ _COMMANDS = {
 
 
 def run_cli(argv: Sequence[str], out: TextIO, err: TextIO) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if not args.command:
             raise UsageError("a command is required (validate, enumerate, derive, generate, trace)")
         return _COMMANDS[args.command](args, out, err)
+    except _HelpShown as exc:
+        print(exc, file=out, end="")
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

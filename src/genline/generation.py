@@ -200,9 +200,16 @@ class ArtifactContainer:
 # Traceability
 
 class TraceIndex:
-    """Feature-to-lines and artifact-to-regions views of one generated variant."""
+    """Feature-to-lines and artifact-to-regions views of one generated variant.
+
+    An index made by ``from_text`` keeps the text and parses it when
+    ``by_artifact``, ``by_feature`` or ``to_text`` is first read.
+    """
+
+    _text: str  # the trace lines given to ``from_text``
 
     def __init__(self, regions_by_artifact: Mapping[str, Sequence[TraceRegion]]):
+        # Set on the instance, this hides the property that parses ``from_text``'s text.
         self.by_artifact: dict[str, tuple[TraceRegion, ...]] = {
             path: tuple(sorted(regions, key=lambda r: r.start))
             for path, regions in sorted(regions_by_artifact.items())
@@ -231,9 +238,15 @@ class TraceIndex:
 
     @staticmethod
     def from_text(text: str) -> "TraceIndex":
-        """Parse trace lines; malformed lines are skipped, never fatal."""
+        """An index of trace lines; malformed lines are skipped, never fatal."""
+        index = object.__new__(TraceIndex)
+        index._text = text
+        return index
+
+    @functools.cached_property
+    def by_artifact(self) -> dict[str, tuple[TraceRegion, ...]]:
         regions: dict[str, list[TraceRegion]] = {}
-        for raw in text.splitlines():
+        for raw in self._text.splitlines():
             parts = raw.split()
             if len(parts) != 3 or ":" not in parts[0]:
                 continue
@@ -251,7 +264,7 @@ class TraceIndex:
             regions.setdefault(path, []).append(
                 TraceRegion(start=start, end=end, features=features, component=component)
             )
-        return TraceIndex(regions)
+        return TraceIndex(regions).by_artifact
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +893,9 @@ def unchanged_run(out_dir: str | Path, cache: GenCache, digest: str) -> Generati
     and nothing else but a regular ``gencache.map`` and folders above an
     artifact, and every one of those files hashes to its recorded content
     digest. The report then lists every artifact as a cache hit, with the
-    recorded facts count and the trace read from ``trace.map``; nothing is
-    parsed, built or written. Otherwise it is None, and the engine must run.
+    recorded facts count and the trace read from ``trace.map`` on first use;
+    nothing is parsed, built or written. Otherwise it is None, and the engine
+    must run.
     """
     if cache.run is None or cache.run[0] != digest or TRACE_FILE in cache.entries:
         return None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import os
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import genline.cli
+import genline.generation
 from genline.cli import (
     EXIT_COMPOSITION,
     EXIT_CONFIG,
@@ -20,8 +22,8 @@ from genline.cli import (
 )
 from genline.components import Behavior, ComponentInterface, GeneratorComponent, build_registry
 from genline.formula import TRUE
-from genline.generation import ArtifactContainer
-from genline.reference import reference_components
+from genline.generation import ArtifactContainer, GenCache, unchanged_run
+from genline.reference import REFERENCE_FML, reference_components
 
 from helpers import ALL_FEATURES, COVERING_CDL, read_tree
 
@@ -642,6 +644,39 @@ def test_generate_incremental_no_change_run_is_cut_off(tmp_path, monkeypatch):
     assert read_tree(out_dir) == cold and _file_stats(out_dir) == before
 
 
+def test_cutoff_report_parses_its_trace_on_first_use(tmp_path, monkeypatch):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    trace_text = (out_dir / "trace.map").read_text()
+    built = []
+    real_region = genline.generation.TraceRegion
+
+    def region(*args, **kwargs):
+        built.append(real_region(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(genline.generation, "TraceRegion", region)
+    reports = _spy(monkeypatch, "unchanged_run")
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert (code, err) == (EXIT_OK, "") and "written: none\n" in out
+    [report] = reports
+    assert built == []  # the CLI never reads the report's trace
+    assert report.trace.to_text() == trace_text
+    assert len(built) == trace_text.count("\n")
+
+    # Malformed lines and bytes that are not UTF-8 are skipped when the trace
+    # is first read, as they were when it was read at once.
+    damaged = b"Person.oo:1-\xb2 Types Class\nnot a trace line\n\xff\xfe\n" + trace_text.encode()
+    (out_dir / "trace.map").write_bytes(damaged)
+    cache = GenCache.from_text((out_dir / "gencache.map").read_text())
+    cache.trace = hashlib.sha256(damaged).hexdigest()
+    report = unchanged_run(out_dir, cache, cache.run[0])
+    assert report is not None
+    assert report.trace.to_text() == trace_text
+    assert report.trace.by_feature == genline.generation.TraceIndex.from_text(trace_text).by_feature
+
+
 def _break_run(tmp_path: Path, damage: str) -> None:
     out_dir = tmp_path / "out"
     if damage.startswith("flip "):  # one byte changed, the size kept
@@ -938,6 +973,65 @@ def test_unknown_and_missing_commands():
 def test_main_uses_stdio(capsys):
     assert main(["enumerate"]) == EXIT_OK
     assert capsys.readouterr().out == "32\n"
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (("--help",), "usage: genline [-h] command ...\n"),
+        (("generate", "-h"), "usage: genline generate [-h] [-m MODEL] -s SPEC"),
+    ],
+    ids=["genline", "generate"],
+)
+def test_help_goes_to_the_given_stream(capsys, argv, usage):
+    code, out, err = run(*argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith(usage) and "show this help message and exit" in out
+    assert capsys.readouterr() == ("", "")
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    # genline.cli builds its parser once, on import. Each call in a sequence,
+    # a usage error included, gives what a parser of its own would give.
+    for name in ("shop.vsp", "shop.cdl"):
+        shutil.copy(SAMPLES / name, tmp_path / name)
+    (tmp_path / "m.fml").write_text(REFERENCE_FML)
+    calls = [
+        ("generate", "-s"),
+        ("frobnicate",),
+        ("validate", "-c", "CD2Java,Types,Class"),
+        ("enumerate", "--list", "-m", str(tmp_path / "m.fml")),
+        ("generate", "-h"),
+        ("generate", "-s", str(tmp_path / "shop.vsp")),
+    ]
+
+    def results(parser_per_call: bool) -> list:
+        shutil.rmtree(tmp_path / "generated", ignore_errors=True)
+        found = []
+        for argv in calls:
+            if parser_per_call:
+                monkeypatch.setattr(genline.cli, "_PARSER", genline.cli._build_parser())
+            found.append(run(*argv))
+        return found
+
+    def no_parser():
+        raise AssertionError("run_cli built a parser")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(genline.cli, "_build_parser", no_parser)
+        shared = results(parser_per_call=False)
+    assert results(parser_per_call=True) == shared
+    assert [code for code, _, _ in shared] == [EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert "expected one argument" in shared[0][2] and "invalid choice" in shared[1][2]
+    assert shared[3][1].startswith("32\n") and "written: " in shared[5][1]
+
+
+def test_help_is_formatted_for_the_width_when_shown(monkeypatch):
+    usage = "usage: genline generate [-h] [-m MODEL] -s SPEC [--incremental] [--cache CACHE]"
+    monkeypatch.setenv("COLUMNS", "60")
+    assert run("generate", "--help")[1].splitlines()[0] != usage
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run("generate", "--help")[1].splitlines()[0] == usage
 
 
 # ---------------------------------------------------------------------------
