@@ -22,6 +22,12 @@ digest matches and the output directory still holds exactly the recorded
 files with their recorded bytes, ``unchanged_run`` returns the report of a run
 that reused every artifact, without parsing the input model or running any
 stage; anything else falls through to the engine.
+
+The run line also records one digest of the stat data of every file in the
+output directory, taken when the run left it (see ``_stat_digest``). While
+the directory's stat data still has that digest, a file whose mtime is older
+than the newest one is taken at its recorded content digest without being
+read (see ``_trusted``); every other file is read and hashed.
 """
 
 from __future__ import annotations
@@ -252,13 +258,13 @@ class TraceIndex:
                 continue
             location, component, feats = parts
             path, _, span = location.rpartition(":")
-            bounds = span.split("-")
-            if len(bounds) != 2 or not all(b.isascii() and b.isdigit() for b in bounds):
+            first, _, last = span.partition("-")
+            if not (span.isascii() and first.isdigit() and last.isdigit()):
                 continue
-            start, end = int(bounds[0]), int(bounds[1])
+            start, end = int(first), int(last)
             if not path or start < 1 or end < start:
                 continue
-            features = tuple(sorted(set(f for f in feats.split(",") if f)))
+            features = tuple(sorted(set(feats.split(",")) - {""}))
             if not features:
                 continue
             regions.setdefault(path, []).append(
@@ -281,10 +287,13 @@ _RUN = "run"  # first field of the cache map's run line
 class GenCache:
     """Per-artifact (key digest, content digest) pairs from a previous run.
 
-    ``trace`` is the content digest of the trace map written with them, and
+    ``trace`` is the content digest of the trace map written with them,
     ``run`` the run digest (see ``run_digest``) and facts count of the run
-    that wrote them. The map keeps both on one run line,
-    ``run <run digest> <facts count> <trace digest>``, written when both are known.
+    that wrote them, and ``stat`` the ``_stat_digest`` of the output directory
+    that run left. The map keeps them on one run line,
+    ``run <run digest> <facts count> <trace digest> <stat digest>``, written
+    when the run and the trace digest are known; without a stat digest the
+    line has only four fields, as maps written before it had.
     """
 
     def __init__(
@@ -292,10 +301,12 @@ class GenCache:
         entries: Mapping[str, tuple[str, str]] | None = None,
         trace: str = "",
         run: tuple[str, int] | None = None,
+        stat: str = "",
     ):
         self.entries: dict[str, tuple[str, str]] = dict(entries or {})
         self.trace = trace
         self.run = run
+        self.stat = stat
 
     def to_text(self) -> str:
         lines = [
@@ -303,37 +314,33 @@ class GenCache:
             for path, (key, content) in sorted(self.entries.items())
         ]
         if self.run is not None and self.trace:
-            lines.append(f"{_RUN} {self.run[0]} {self.run[1]} {self.trace}")
+            stat = f" {self.stat}" if self.stat else ""
+            lines.append(f"{_RUN} {self.run[0]} {self.run[1]} {self.trace}{stat}")
         return "".join(line + "\n" for line in lines)
 
     @staticmethod
     def from_text(text: str) -> "GenCache":
-        """Parse cache lines; a corrupt line is dropped (an artifact line is then a miss)."""
+        """Parse cache lines; a corrupt line is dropped (an artifact line is then a miss).
+
+        Every digest field must be 64 lowercase hex digits, as ``hexdigest`` writes them.
+        """
         entries: dict[str, tuple[str, str]] = {}
-        trace, run = "", None
+        trace, run, stat_digest = "", None, ""
         for raw in text.splitlines():
             parts = raw.split()
-            if len(parts) != 3:
-                if len(parts) == 4 and parts[0] == _RUN:
-                    _, digest, facts, trace_digest = parts
-                    if (
-                        _HEX_DIGEST.fullmatch(digest)
-                        and _HEX_DIGEST.fullmatch(trace_digest)
-                        and facts.isascii()
-                        and facts.isdigit()
-                    ):
-                        trace, run = trace_digest, (digest, int(facts))
-                continue
-            path, key, content = parts
-            if len(key) != 64 or len(content) != 64:
-                continue
-            try:
-                int(key, 16)
-                int(content, 16)
-            except ValueError:
-                continue
-            entries[path] = (key, content)
-        return GenCache(entries, trace, run)
+            if len(parts) == 3:
+                path, key, content = parts
+                if _HEX_DIGEST.fullmatch(key) and _HEX_DIGEST.fullmatch(content):
+                    entries[path] = (key, content)
+            elif len(parts) in (4, 5) and parts[0] == _RUN:
+                _, digest, facts, trace_digest, *rest = parts
+                if (
+                    all(_HEX_DIGEST.fullmatch(d) for d in (digest, trace_digest, *rest))
+                    and facts.isascii()
+                    and facts.isdigit()
+                ):
+                    trace, run, stat_digest = trace_digest, (digest, int(facts)), "".join(rest)
+        return GenCache(entries, trace, run, stat_digest)
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +526,25 @@ def _cache_key(meta: _ClaimMeta, ctx: GenContext) -> str:
 
 
 def _lookup_cache(
-    cache: GenCache, ctx: GenContext, out: str,
-    snapshot: Mapping[str, int], old_trace: bytes | None,
+    cache: GenCache, ctx: GenContext, out: str, snapshot: Mapping[str, int],
+    trusted: Collection[str], old_trace: bytes | None,
 ) -> tuple[dict[str, str], dict[str, tuple[str, tuple[TraceRegion, ...]]]]:
     """Key every claim, and find the claims whose previous output is reusable.
 
     A claim is a hit when its key matches the cache entry, the snapshot of
     ``out`` lists it as a regular file that still has the recorded content
     digest, and the previous trace ``old_trace`` could be the one written
-    with it (see ``_traces``). Returns the keys and, per hit, its content
-    digest and trace regions.
+    with it (see ``_traced_lines``). A file in ``trusted`` has that digest unread;
+    when ``old_trace`` also hashes to the recorded trace digest, the trace
+    was written with that content and its line count is not checked either.
+    Returns the keys and, per hit, its content digest and trace regions.
     """
     keys = {path: _cache_key(meta, ctx) for path, meta in ctx.claim_meta.items()}
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
     if old_trace is None:
         return keys, hits
+    if hashlib.sha256(old_trace).hexdigest() != cache.trace:
+        trusted = ()
     trace = TraceIndex.from_text(old_trace.decode("utf-8", errors="replace"))
     features = ctx.selected | {CORE_FEATURE}
     for path, key in keys.items():
@@ -541,32 +552,39 @@ def _lookup_cache(
         regions = trace.by_artifact.get(path)
         if entry is None or entry[0] != key or regions is None or snapshot.get(path, _OTHER) < 0:
             continue
-        data = _read(out, path)
-        # A file that is not UTF-8 cannot match a digest of UTF-8 text: a miss.
-        if data is not None and hashlib.sha256(data).hexdigest() == entry[1] and _traces(
-            regions, data, ctx.claim_meta[path].component.id, features
-        ):
-            hits[path] = (entry[1], regions)
+        lines = _traced_lines(regions, ctx.claim_meta[path].component.id, features)
+        if not lines:
+            continue
+        if path not in trusted:
+            data = _read(out, path)
+            # A file that is not UTF-8 cannot match a digest of UTF-8 text: a miss.
+            if (
+                data is None
+                or data.count(b"\n") != lines
+                or hashlib.sha256(data).hexdigest() != entry[1]
+            ):
+                continue
+        hits[path] = (entry[1], regions)
     return keys, hits
 
 
-def _traces(
-    regions: Sequence[TraceRegion], data: bytes, component: str, features: frozenset[str]
-) -> bool:
-    """Whether ``regions`` could be the trace a run wrote for the artifact ``data``.
+def _traced_lines(regions: Sequence[TraceRegion], component: str, features: frozenset[str]) -> int:
+    """The number of lines ``regions`` cover if they could be the trace a run
+    wrote for an artifact of ``component``, else 0.
 
-    They must cover its lines in order, name the component that claims it and
-    only features of this variant. This keeps a damaged trace map a miss.
+    They must cover lines from 1 on in order, name the component and only
+    features of this variant; the caller checks the count against the
+    artifact. This keeps a damaged trace map a miss.
     """
     line = 1
     for region in regions:
         if region.start != line or region.component != component:
-            return False
+            return 0
         for feature in region.features:
             if feature not in features:
-                return False
+                return 0
         line = region.end + 1
-    return line == data.count(b"\n") + 1
+    return line - 1
 
 
 def _gate(stage: str, ctx: GenContext) -> tuple[Violation, ...]:
@@ -623,10 +641,11 @@ def _run_engine(
     for stage in (*PHASE_OF_KIND.values(), "syntax", "hooks"):
         ctx.phase = stage
         if stage == "syntax":
-            snapshot = _scan(out)
+            snapshot, stats = _scan(out, stat_data=cache is not None)  # a plain run keeps no record
             old_trace = None if snapshot.get(TRACE_FILE, _OTHER) < 0 else _read(out, TRACE_FILE)
             if cache is not None:
-                keys, hits = _lookup_cache(cache, ctx, out, snapshot, old_trace)
+                trusted = _trusted(stats, cache.stat)
+                keys, hits = _lookup_cache(cache, ctx, out, snapshot, trusted, old_trace)
             _build(ctx, hits)
         try:
             for step in steps:
@@ -662,6 +681,8 @@ def _run_engine(
             _check_replaceable(out, snapshot, ours)
         changed = {path: text for path, text in files.items() if path not in same}
         _atomic_swap(out, changed, [*hits, *same])
+        if cache is not None:  # the stat data of the output as this run leaves it
+            _, stats = _scan(out)
 
     report = GenerationReport(
         written=tuple(sorted(ctx.containers)),
@@ -676,6 +697,7 @@ def _run_engine(
             for path, key in keys.items()
         },
         trace=_digest(files[TRACE_FILE]),
+        stat=_stat_digest(stats) if cache is not None else "",
     )
 
 
@@ -697,13 +719,18 @@ def _same_on_disk(
     return same
 
 
-def _scan(out: str) -> dict[str, int]:
-    """Map the relative path of every entry under ``out`` to a regular file's size or a marker.
+def _scan(
+    out: str, stat_data: bool = True
+) -> tuple[dict[str, int], dict[str, tuple[int, int, int, int]]]:
+    """Map the relative path of every entry under ``out`` to a regular file's size or a marker,
+    and, if ``stat_data``, every regular file but the cache map to its stat data: size, mtime
+    and ctime in nanoseconds, and inode.
 
     A folder is ``_DIR``. A symlink, anything else and a folder that cannot be listed
     (``out`` itself as "") are ``_OTHER``. A missing ``out`` gives an empty snapshot.
     """
     snapshot: dict[str, int] = {}
+    stats: dict[str, tuple[int, int, int, int]] = {}
     pending = [""]
     while pending:
         folder = pending.pop()
@@ -715,13 +742,45 @@ def _scan(out: str) -> dict[str, int]:
                         snapshot[path] = _DIR
                         pending.append(path)
                     elif entry.is_file(follow_symlinks=False):
-                        snapshot[path] = entry.stat(follow_symlinks=False).st_size
+                        st = entry.stat(follow_symlinks=False)
+                        snapshot[path] = st.st_size
+                        if stat_data:
+                            stats[path] = (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
                     else:
                         snapshot[path] = _OTHER
         except OSError as exc:
             if folder or not isinstance(exc, FileNotFoundError):
                 snapshot[folder] = _OTHER
-    return snapshot
+    stats.pop(CACHE_FILE, None)  # written after the run, and not trusted by its stat data
+    return snapshot, stats
+
+
+def _stat_digest(stats: Mapping[str, tuple[int, int, int, int]]) -> str:
+    """One digest of the stat data of every file in a ``_scan``.
+
+    A file written, replaced by a rename, touched, added or removed changes
+    it; so does a reset of its mtime, which sets its ctime.
+    """
+    return _digest(repr(sorted(stats.items())))
+
+
+def _trusted(stats: Mapping[str, tuple[int, int, int, int]], record: str) -> set[str]:
+    """The files of ``stats`` that hold the bytes they held when ``record`` was taken.
+
+    ``record`` is the ``_stat_digest`` of the output directory as a run left
+    it. If ``stats`` no longer has that digest, or ``record`` is empty, no file
+    is trusted. Otherwise the record was taken after every write, so a file
+    changed since, other than by setting its mtime back, got an mtime no older
+    than the newest one; it kept its stat data only if its recorded mtime was
+    in that same clock tick. A file whose mtime is older than the newest is
+    trusted, and the rest are racy and must be read (git's racy-clean rule,
+    with the newest mtime in place of the index file's own).
+    """
+    if not record or _stat_digest(stats) != record:
+        return set()
+    mtimes = {path: mtime for path, (_, mtime, _, _) in stats.items()}
+    newest = max(mtimes.values(), default=0)
+    return {path for path, mtime in mtimes.items() if mtime < newest}
 
 
 def _strays(snapshot: Mapping[str, int], ours: Collection[str]) -> list[str]:
@@ -892,19 +951,23 @@ def unchanged_run(out_dir: str | Path, cache: GenCache, digest: str) -> Generati
     output lists the artifacts of ``cache`` and ``trace.map`` as regular files
     and nothing else but a regular ``gencache.map`` and folders above an
     artifact, and every one of those files hashes to its recorded content
-    digest. The report then lists every artifact as a cache hit, with the
-    recorded facts count and the trace read from ``trace.map`` on first use;
-    nothing is parsed, built or written. Otherwise it is None, and the engine
-    must run.
+    digest; an artifact that the recorded stat data vouches for (see
+    ``_trusted``) is not read. The report then lists every artifact as a
+    cache hit, with the recorded facts count and the trace read from
+    ``trace.map`` on first use; nothing is parsed, built or written.
+    Otherwise it is None, and the engine must run.
     """
     if cache.run is None or cache.run[0] != digest or TRACE_FILE in cache.entries:
         return None
     out = os.path.realpath(out_dir)
-    snapshot = _scan(out)
-    recorded = {path: content for path, (_, content) in cache.entries.items()}
-    recorded[TRACE_FILE] = cache.trace  # last, so the loop leaves its bytes in ``data``
-    if _strays(snapshot, {*recorded, CACHE_FILE}):
+    snapshot, stats = _scan(out)
+    if _strays(snapshot, {*cache.entries, TRACE_FILE, CACHE_FILE}):
         return None
+    trusted = _trusted(stats, cache.stat)
+    recorded = {
+        path: content for path, (_, content) in cache.entries.items() if path not in trusted
+    }
+    recorded[TRACE_FILE] = cache.trace  # always read, and last: ``data`` keeps its bytes
     for path, content in recorded.items():
         data = _read(out, path) if snapshot.get(path, _OTHER) >= 0 else None
         if data is None or hashlib.sha256(data).hexdigest() != content:

@@ -5,9 +5,13 @@ import hashlib
 import io
 import os
 import shutil
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genline.cli
 import genline.generation
@@ -279,6 +283,19 @@ def test_generate_incremental_custom_cache_dir(tmp_path):
 EDITED_CDL = SHOP_CDL.replace("age: int;", "age: int; email: string;")
 
 
+def _tree_but_stat(root: Path) -> dict[str, bytes]:
+    """``read_tree`` with the cache map's stat digest, the run line's fifth field,
+    cut, if there is a map: it records inodes and times, which differ from one
+    run to the next."""
+    tree = read_tree(root)
+    if "gencache.map" in tree:
+        body, _, run_line = tree["gencache.map"].rstrip(b"\n").rpartition(b"\n")
+        fields = run_line.split()
+        assert fields[0] == b"run" and len(fields) == 5
+        tree["gencache.map"] = body + b"\n" + b" ".join(fields[:4]) + b"\n"
+    return tree
+
+
 def _file_stats(root: Path) -> dict[str, tuple[int, int]]:
     """(inode, mtime in ns) of every file under root, keyed by relative path."""
     return {
@@ -347,7 +364,7 @@ def test_generate_rewrites_a_file_that_is_not_the_same_regular_file(tmp_path, re
     vsp = write_variant(tmp_path)
     out_dir = tmp_path / "out"
     assert run("generate", *rerun, "-s", str(vsp))[0] == EXIT_OK
-    cold = read_tree(out_dir)
+    cold = _tree_but_stat(out_dir)
     before = _file_stats(out_dir)
     person = out_dir / "Person.oo"
     elsewhere = tmp_path / "Person.copy"
@@ -360,7 +377,7 @@ def test_generate_rewrites_a_file_that_is_not_the_same_regular_file(tmp_path, re
     assert code == EXIT_OK, err
     if rerun:
         assert "written: Person.oo\n" in out
-    assert read_tree(out_dir) == cold
+    assert _tree_but_stat(out_dir) == cold
     assert not person.is_symlink()
     after = _file_stats(out_dir)
     assert after["Person.oo"][0] != before["Person.oo"][0]  # also not a link to the symlink's target
@@ -389,7 +406,7 @@ def test_generate_copies_where_links_fail(tmp_path, monkeypatch, rerun):
             vsp = write_variant(root, cdl=cdl)
             code, out, err = run("generate", *rerun, "-s", str(vsp))
             assert code == EXIT_OK, err
-            runs.append((out.replace(str(root), "<root>"), read_tree(root / "out")))
+            runs.append((out.replace(str(root), "<root>"), _tree_but_stat(root / "out")))
         results[name] = runs
     assert len(refused) == 3  # the edit run reused three artifacts, the last run none
     assert results["copy"] == results["link"]
@@ -400,7 +417,7 @@ def test_generate_incremental_replaces_an_output_that_differs(tmp_path, damage):
     vsp = write_variant(tmp_path)
     out_dir = tmp_path / "out"
     assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
-    cold = read_tree(out_dir)
+    cold = _tree_but_stat(out_dir)
     if damage == "stray file":
         (out_dir / "notes.txt").write_text("scratch\n")
     elif damage == "deleted artifact":
@@ -412,7 +429,7 @@ def test_generate_incremental_replaces_an_output_that_differs(tmp_path, damage):
     assert code == EXIT_OK, err
     written = "Receipt.oo" if damage == "deleted artifact" else "none"
     assert f"written: {written}\n" in out
-    assert read_tree(out_dir) == cold
+    assert _tree_but_stat(out_dir) == cold
 
 
 @pytest.mark.parametrize("rerun", [("--incremental",), ()], ids=["incremental", "plain"])
@@ -726,7 +743,7 @@ def test_generate_incremental_falls_through_to_the_engine(tmp_path, monkeypatch,
     shutil.copy(tmp_path / "shop.cdl", tmp_path / "cold" / "shop.cdl")
     shutil.copy(vsp, tmp_path / "cold" / "demo.vsp")
     assert run("generate", "--incremental", "-s", str(tmp_path / "cold" / "demo.vsp"))[0] == EXIT_OK
-    assert read_tree(tmp_path / "out") == read_tree(tmp_path / "cold" / "out")
+    assert _tree_but_stat(tmp_path / "out") == _tree_but_stat(tmp_path / "cold" / "out")
     assert not (tmp_path / "out" / "Person.oo").is_symlink()
 
 
@@ -776,7 +793,7 @@ def test_generate_incremental_with_a_damaged_run_line(tmp_path, monkeypatch, dam
 def test_bytes_that_are_not_utf8_never_raise(tmp_path, damaged, command, expected):
     vsp = write_variant(tmp_path)
     assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
-    cold = read_tree(tmp_path / "out")
+    cold = _tree_but_stat(tmp_path / "out")
     damaged, _, line = damaged.partition(" ")
     if line:  # only the cache map's run line, whose digest gets a byte that is not UTF-8
         data = (tmp_path / damaged).read_bytes()
@@ -789,9 +806,192 @@ def test_bytes_that_are_not_utf8_never_raise(tmp_path, damaged, command, expecte
         assert "cannot read feature model" in err and "bad.fml" in err
     elif command[0] == "generate":
         # The damaged file only causes misses; the output is rebuilt in full.
-        assert read_tree(tmp_path / "out") == cold
+        assert _tree_but_stat(tmp_path / "out") == cold
     else:
         assert out == "unknown artifact: Person.oo\n"
+
+
+# ---------------------------------------------------------------------------
+# the stat record: a reused file is trusted by its stat data
+
+def _stat_digest_of(out_dir: Path) -> str:
+    """The stat digest of ``out_dir`` as the run line records it: path, size,
+    mtime, ctime and inode of every regular file but the cache map."""
+    rows = []
+    for path in out_dir.rglob("*"):
+        st = path.lstat()
+        rel = path.relative_to(out_dir).as_posix()
+        if path.is_file() and not path.is_symlink() and rel != "gencache.map":
+            rows.append((rel, (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)))
+    return hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+
+
+def _run_line(cache_dir: Path) -> list[str]:
+    return (cache_dir / "gencache.map").read_text().splitlines()[-1].split()
+
+
+def _racy(out_dir: Path) -> set[str]:
+    """The files with the newest mtime, the cache map aside: they are always read."""
+    mtimes = {p.name: p.stat().st_mtime_ns for p in out_dir.iterdir() if p.name != "gencache.map"}
+    return {name for name, mtime in mtimes.items() if mtime == max(mtimes.values())}
+
+
+def _spy_reads(monkeypatch) -> list[str]:
+    """The paths that ``genline.generation._read`` opens, in order."""
+    real = genline.generation._read
+    reads = []
+
+    def spy(out, path):
+        reads.append(path)
+        return real(out, path)
+
+    monkeypatch.setattr(genline.generation, "_read", spy)
+    return reads
+
+
+def test_the_run_line_records_the_stat_digest_of_out(tmp_path):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    assert _run_line(out_dir)[4] == _stat_digest_of(out_dir)
+    write_variant(tmp_path, cdl=EDITED_CDL)  # a swap: new files and new links
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    assert _run_line(out_dir)[4] == _stat_digest_of(out_dir)
+    # A new comment in the model: the engine runs and swaps nothing, and the
+    # map records the stat data its scan found, a touched file's included.
+    (out_dir / "Receipt.oo").touch()
+    write_variant(tmp_path, cdl=EDITED_CDL + "// a comment\n")
+    code, out, _ = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_OK and "written: none\n" in out
+    assert _run_line(out_dir)[4] == _stat_digest_of(out_dir)
+    cache_dir = tmp_path / "cache"  # a map kept elsewhere records the same
+    assert run("generate", "--incremental", "--cache", str(cache_dir), "-s", str(vsp))[0] == EXIT_OK
+    assert _run_line(cache_dir)[4] == _stat_digest_of(out_dir)
+
+
+def test_a_no_change_rerun_reads_only_racy_files(tmp_path, monkeypatch):
+    vsp = write_variant(tmp_path, features=", ".join(ALL_FEATURES), mode="hybrid", cdl=COVERING_CDL)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    racy = _racy(out_dir)
+    reads = _spy_reads(monkeypatch)
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert (code, err) == (EXIT_OK, "") and "written: none\n" in out
+    assert set(reads) == racy | {"trace.map"}
+
+    # An edited run reads the trace map, the racy files and, to leave them
+    # alone if their bytes are the same, rebuilt files of the same size.
+    racy = _racy(out_dir)
+    (tmp_path / "shop.cdl").write_text(COVERING_CDL.replace("level: int;", "level: string;"))
+    reads.clear()
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert "written: Manager.oo, ManagerBuilder.oo\n" in out
+    assert set(reads) <= racy | {"trace.map", "Manager.oo", "ManagerBuilder.oo"}
+
+
+@pytest.mark.parametrize("damage", ["four fields", "damaged stat digest"])
+def test_a_map_without_a_valid_stat_digest_is_read_and_hashed(tmp_path, monkeypatch, damage):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(out_dir)
+    body, _, run_line = cold["gencache.map"].rstrip(b"\n").rpartition(b"\n")
+    fields = run_line.split()
+    if damage == "four fields":  # as written before the stat digest existed
+        fields = fields[:4]
+    else:  # one digit short: the run line is dropped
+        fields[4] = fields[4][:-1]
+    older = body + b"\n" + b" ".join(fields) + b"\n"
+    (out_dir / "gencache.map").write_bytes(older)
+    reads = _spy_reads(monkeypatch)
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert (code, err) == (EXIT_OK, "") and "written: none\n" in out
+    artifacts = set(cold) - {"gencache.map", "trace.map"}
+    assert artifacts <= set(reads)
+    if damage == "four fields":
+        # The whole-run cutoff answered; it writes nothing, so the map stays as it was.
+        assert read_tree(out_dir) == {**cold, "gencache.map": older}
+        write_variant(tmp_path, cdl=EDITED_CDL)
+        assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    else:
+        # The engine ran and left every file; the map it wrote is the first one again.
+        assert read_tree(out_dir) == cold
+    assert _run_line(out_dir)[4] == _stat_digest_of(out_dir)
+
+
+@lru_cache(maxsize=None)
+def _cold_tree(cdl: str) -> dict[str, bytes]:
+    """The tree a plain ``generate`` of ``cdl`` writes into a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        vsp = write_variant(Path(tmp), cdl=cdl)
+        assert run("generate", "-s", str(vsp))[0] == EXIT_OK
+        return read_tree(Path(tmp) / "out")
+
+
+_OUT_FILES = (
+    "Person.oo", "PersonBuilder.oo", "Receipt.oo", "ReceiptBuilder.oo", "ShopFactory.oo",
+    "trace.map",
+)
+_OUT_DAMAGE = st.one_of(
+    st.tuples(st.just("edit")),  # switch the input model, so the engine runs
+    st.tuples(
+        st.sampled_from(["rewrite", "racy rewrite", "rename", "delete", "append", "touch"]),
+        st.sampled_from(_OUT_FILES),
+    ),
+)
+
+
+def _damage_out(out_dir: Path, damage: tuple, newest: int) -> None:
+    """Apply one damage to ``out_dir``; ``newest`` is the newest recorded mtime."""
+    kind, target = damage[0], out_dir / damage[1]
+    if not target.is_file():
+        return
+    data = target.read_bytes()
+    other = bytes([data[0] ^ 0x20]) + data[1:]  # the same size, other bytes
+    if kind in ("rewrite", "racy rewrite"):
+        with target.open("r+b") as f:  # in place: the same inode
+            f.write(other)
+        if kind == "racy rewrite":
+            os.utime(target, ns=(newest, newest))
+    elif kind == "rename":  # a new inode, with the old size and mtime
+        mtime = target.stat().st_mtime_ns
+        replacement = out_dir.parent / "replacement"
+        replacement.write_bytes(other)
+        os.utime(replacement, ns=(mtime, mtime))
+        os.replace(replacement, target)
+    elif kind == "delete":
+        target.unlink()
+    elif kind == "append":
+        with target.open("ab") as f:
+            f.write(b"// more\n")
+    else:  # touch: the same bytes, a new mtime
+        os.utime(target)
+
+
+@settings(max_examples=30, deadline=None)
+@given(script=st.lists(st.lists(_OUT_DAMAGE, max_size=3), min_size=1, max_size=4))
+def test_incremental_runs_over_a_damaged_output_equal_a_cold_generate(script):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        out_dir, cdl = root / "out", SHOP_CDL
+        vsp = write_variant(root, cdl=cdl)
+        assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+        for damages in script:
+            newest = max(
+                p.stat().st_mtime_ns for p in out_dir.iterdir() if p.name != "gencache.map"
+            )
+            for damage in damages:
+                if damage == ("edit",):
+                    cdl = EDITED_CDL if cdl == SHOP_CDL else SHOP_CDL
+                    write_variant(root, cdl=cdl)
+                else:
+                    _damage_out(out_dir, damage, newest)
+            code, _, err = run("generate", "--incremental", "-s", str(vsp))
+            assert code == EXIT_OK, err
+            tree = read_tree(out_dir)
+            tree.pop("gencache.map")
+            assert tree == _cold_tree(cdl), damages
 
 
 def test_generate_incremental_with_an_unreadable_cache(tmp_path, monkeypatch):
@@ -1086,8 +1286,9 @@ def _trace_an_incremental_rerun(tmp_path, monkeypatch, cdl_after: str):
 def test_benchmark_hook_points_see_an_incremental_rerun(tmp_path, monkeypatch):
     # The sibling of the test above for a no-change --incremental run. The
     # whole-run cutoff finds the inputs and outputs unchanged, so it parses no
-    # input model and runs no engine stage: of the engine's spans only the
-    # trace map's parse remains. The feature model is still parsed, so
+    # input model and runs no engine stage: of the engine's spans only
+    # TraceIndex.from_text remains, which keeps the trace map's text for the
+    # report and parses nothing. The feature model is still parsed, so
     # lexing.tokenize stays.
     spans, points, out = _trace_an_incremental_rerun(tmp_path, monkeypatch, COVERING_CDL)
     assert "written: none\n" in out

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from genline.classdiagram import ClassDiagram, canonical_type_text, parse_class_diagram
 from genline.components import Behavior, ComponentInterface, GeneratorComponent, check_bindings
 from genline.composition import compose_all
-from genline import ootl
+from genline import generation, ootl
 from genline.formula import TRUE
 from genline.generation import (
     GEN_CLAIM,
@@ -394,6 +394,34 @@ def test_gencache_round_trip_and_corruption():
     ):
         parsed = GenCache.from_text(artifacts + damaged + "\n")
         assert (parsed.entries, parsed.run, parsed.trace) == (cache.entries, None, ""), damaged
+
+
+def test_gencache_takes_only_digests_as_hexdigest_writes_them():
+    # int(x, 16) would take each of these 64-character fields.
+    digest = hashlib.sha256(b"x").hexdigest()
+    for bad in ("0x" + "a" * 62, "+" + "a" * 63, "a_a" + "a" * 61, "A" * 64):
+        assert GenCache.from_text(f"X.oo {bad} {digest}\n").entries == {}, bad
+        assert GenCache.from_text(f"X.oo {digest} {bad}\n").entries == {}, bad
+        for run_line in (
+            f"run {bad} 3 {digest}", f"run {digest} 3 {bad}", f"run {digest} 3 {digest} {bad}"
+        ):
+            parsed = GenCache.from_text(run_line + "\n")
+            assert (parsed.run, parsed.trace, parsed.stat) == (None, "", ""), run_line
+    assert GenCache.from_text(f"X.oo {digest} {digest}\n").entries == {"X.oo": (digest, digest)}
+
+
+def test_the_run_line_carries_the_stat_digest_as_a_fifth_field():
+    digest, trace, stat = (hashlib.sha256(text).hexdigest() for text in (b"x", b"y", b"z"))
+    entries = {"A.oo": (digest, digest)}
+    cache = GenCache(entries, trace=trace, run=(digest, 12), stat=stat)
+    assert cache.to_text() == f"A.oo {digest} {digest}\nrun {digest} 12 {trace} {stat}\n"
+    again = GenCache.from_text(cache.to_text())
+    assert (again.entries, again.trace, again.run) == (entries, trace, (digest, 12))
+    assert again.stat == stat
+    # A map written before the field existed is read as one without a stat digest.
+    older = GenCache.from_text(f"A.oo {digest} {digest}\nrun {digest} 12 {trace}\n")
+    assert (older.entries, older.trace, older.run, older.stat) == (entries, trace, (digest, 12), "")
+    assert older.to_text() == f"A.oo {digest} {digest}\nrun {digest} 12 {trace}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +869,55 @@ def test_incremental_detects_tampered_and_missing_outputs(tmp_path):
     assert report.ok
     assert report.written == ("Person.oo", "Receipt.oo")
     assert (out / "Person.oo").read_text() == canonical
+
+
+def test_a_racy_file_is_read_though_the_stat_data_match(tmp_path, monkeypatch):
+    """A file rewritten within the clock tick of the newest mtime can keep its
+    stat data. Such a racy file is read and hashed; an older one is taken at
+    its recorded digest unread."""
+    composed, diagram, spec = _pipeline(tmp_path)
+    out = tmp_path / "out"
+    _, cache = incremental_generate(composed, diagram, spec, GenCache())
+    newest = max(p.stat().st_mtime_ns for p in out.iterdir())
+    os.utime(out / "Person.oo", ns=(newest, newest))
+    os.utime(out / "Receipt.oo", ns=(newest - 10**9, newest - 10**9))
+    _, cache = incremental_generate(composed, diagram, spec, cache)  # records Person.oo as racy
+    recorded = generation._scan(os.path.realpath(out))
+    assert generation._stat_digest(recorded[1]) == cache.stat
+    canonical = (out / "Person.oo").read_bytes()
+    for name in ("Person.oo", "Receipt.oo"):  # the same size, other bytes
+        (out / name).write_bytes((out / name).read_bytes().replace(b"class", b"CLASS", 1))
+    # As if both were rewritten in that tick: the scan finds the recorded stat data.
+    monkeypatch.setattr(generation, "_scan", lambda *_, **__: recorded)
+    reads = []
+    real_read = generation._read
+    monkeypatch.setattr(
+        generation, "_read", lambda out, path: reads.append(path) or real_read(out, path)
+    )
+    report, _ = incremental_generate(composed, diagram, spec, cache)
+    assert report.written == ("Person.oo",)
+    assert (out / "Person.oo").read_bytes() == canonical
+    assert "Person.oo" in reads and "Receipt.oo" not in reads
+
+
+def test_a_trusted_file_keeps_its_line_count_check_unless_the_trace_map_is_as_recorded(
+    tmp_path, monkeypatch
+):
+    composed, diagram, spec = _pipeline(tmp_path)
+    out = tmp_path / "out"
+    _, cache = incremental_generate(composed, diagram, spec, GenCache())
+    old = (out / "Person.oo").stat().st_mtime_ns - 10**9
+    os.utime(out / "Person.oo", ns=(old, old))
+    _, cache = incremental_generate(composed, diagram, spec, cache)  # records Person.oo as older
+    recorded = generation._scan(os.path.realpath(out))
+    assert generation._stat_digest(recorded[1]) == cache.stat
+    cold = read_tree(out)
+    # One line too many for Person.oo, at the same size, and the recorded stat data.
+    (out / TRACE_FILE).write_bytes(cold[TRACE_FILE].replace(b"Person.oo:6-6 ", b"Person.oo:6-7 "))
+    monkeypatch.setattr(generation, "_scan", lambda *_, **__: recorded)
+    report, _ = incremental_generate(composed, diagram, spec, cache)
+    assert report.written == ("Person.oo",)
+    assert read_tree(out) == cold
 
 
 def test_incremental_without_trace_regenerates(tmp_path):
