@@ -33,17 +33,15 @@ from .featuremodel import (
     validate_configuration,
 )
 from .generation import (
-    CACHE_FILE,
     TRACE_FILE,
     BlackboardError,
     EngineError,
-    GenCache,
     GenerationIOError,
     GenerationReport,
     TraceIndex,
     generate,
     incremental_generate,
-    recover_interrupted_swap,
+    read_cache,
     run_digest,
     unchanged_run,
 )
@@ -244,21 +242,21 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     model_text = _read_input(spec.model_path, "input model")
     report = None
     if args.incremental:
-        cache_dir = Path(args.cache or spec.output_path)
         if args.cache:
             # The nearest existing ancestor must be a directory, or the cache
-            # map could not be written after the outputs were swapped in.
+            # map could never be written. Inside out: the map would be a
+            # stray that every run swaps away; out: itself is where it lives
+            # without --cache.
+            cache_dir = Path(args.cache)
             existing = next(p for p in (cache_dir, *cache_dir.parents) if p.exists())
             if not existing.is_dir():
                 raise UsageError(f"--cache {args.cache!r} is not a directory")
-        # A swap cut off by a kill leaves the cache map in a backup directory.
-        recover_interrupted_swap(Path(spec.output_path))
-        cache_path = cache_dir / CACHE_FILE
-        try:  # a map that is missing or cannot be read is no cache: every artifact misses
-            old_text = cache_path.read_bytes() if cache_path.is_file() else None
-        except OSError:
-            old_text = None
-        cache = GenCache.from_text((old_text or b"").decode("utf-8", errors="replace"))
+            out_dir = Path(os.path.realpath(spec.output_path))
+            if out_dir in Path(os.path.realpath(cache_dir)).parents:
+                raise UsageError(
+                    f"--cache {args.cache!r} lies inside the output directory {spec.output_path!r}"
+                )
+        cache = read_cache(spec.output_path, args.cache)
         # Unchanged inputs over the output they wrote: done without parsing the model.
         digest = run_digest(model_text, spec, composed, bindings)
         report = unchanged_run(spec.output_path, cache, digest)
@@ -269,17 +267,7 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             print(f"input model {spec.model_path!r}: {exc}", file=err)
             return EXIT_CONFIG
         if args.incremental:
-            report, new_cache = incremental_generate(composed, diagram, spec, cache)
-            new_cache.run = (digest, report.facts_count)
-            new_text = new_cache.to_text().encode("utf-8")
-            # A swap drops a cache map kept in the output directory; a run that
-            # changed nothing leaves it, and it already holds this text.
-            if report.ok and (new_text != old_text or not cache_path.is_file()):
-                try:
-                    cache_path.parent.mkdir(parents=True, exist_ok=True)
-                    cache_path.write_bytes(new_text)
-                except OSError as exc:
-                    raise GenerationIOError(f"cannot write {str(cache_path)!r}: {exc}") from exc
+            report, _ = incremental_generate(composed, diagram, spec, cache, digest)
         else:
             report = generate(composed, diagram, spec)
     if not report.ok:

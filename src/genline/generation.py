@@ -28,6 +28,11 @@ output directory, taken when the run left it (see ``_stat_digest``). While
 the directory's stat data still has that digest, a file whose mtime is older
 than the newest one is taken at its recorded content digest without being
 read (see ``_trusted``); every other file is read and hashed.
+
+The engine reads and writes the cache map, ``gencache.map``: ``read_cache``
+reads it once per run, and ``incremental_generate``, or ``unchanged_run``
+when it renews the stat record, writes it back. A map kept outside the
+output directory is checked to be writable before the output is replaced.
 """
 
 from __future__ import annotations
@@ -294,6 +299,10 @@ class GenCache:
     ``run <run digest> <facts count> <trace digest> <stat digest>``, written
     when the run and the trace digest are known; without a stat digest the
     line has only four fields, as maps written before it had.
+
+    ``path`` is where the cache map lives and ``saved`` the bytes it holds
+    there (see ``read_cache``); a cache built in memory has no path and is
+    written nowhere.
     """
 
     def __init__(
@@ -302,11 +311,15 @@ class GenCache:
         trace: str = "",
         run: tuple[str, int] | None = None,
         stat: str = "",
+        path: str | None = None,
+        saved: bytes | None = None,
     ):
         self.entries: dict[str, tuple[str, str]] = dict(entries or {})
         self.trace = trace
         self.run = run
         self.stat = stat
+        self.path = path
+        self.saved = saved
 
     def to_text(self) -> str:
         lines = [
@@ -341,6 +354,50 @@ class GenCache:
                 ):
                     trace, run, stat_digest = trace_digest, (digest, int(facts)), "".join(rest)
         return GenCache(entries, trace, run, stat_digest)
+
+
+def read_cache(out_dir: str | Path, cache_dir: str | Path | None = None) -> GenCache:
+    """The cache of the output directory ``out_dir``, read from its map in ``cache_dir``,
+    or in ``out_dir`` itself when that is None.
+
+    A swap cut off by a kill leaves the map in a backup of the output, so an
+    interrupted swap is recovered first. A map that is missing or cannot be
+    read is an empty cache: every artifact misses.
+    """
+    recover_interrupted_swap(out_dir)
+    path = str(Path(cache_dir or out_dir) / CACHE_FILE)
+    data = None
+    if os.path.isfile(path):
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError:
+            pass
+    cache = GenCache.from_text((data or b"").decode("utf-8", errors="replace"))
+    cache.path, cache.saved = path, data
+    return cache
+
+
+def _save(cache: GenCache) -> None:
+    """Write ``cache`` to its map, unless it has no path or the map already holds its bytes."""
+    if cache.path is None:
+        return
+    data = cache.to_text().encode("utf-8")
+    # A swap drops a map kept in the output directory, though the bytes are the same.
+    if data != cache.saved or not os.path.isfile(cache.path):
+        _write_map(cache.path, data)
+        cache.saved = data
+
+
+def _write_map(path: str, data: bytes, mode: str = "wb") -> None:
+    """Write ``data`` to the cache map at ``path``, making its folder; ``mode`` "ab"
+    with no data only makes sure that the map can be written."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, mode) as f:
+            f.write(data)
+    except OSError as exc:
+        raise GenerationIOError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +689,8 @@ def _run_engine(
     board = Blackboard()
     ctx = GenContext(diagram, spec, bindings, board)
     out = os.path.realpath(spec.output_path)
-    recover_interrupted_swap(out)
     keys: dict[str, str] = {}
+    stat = ""  # the _stat_digest of the output as this run leaves it, kept with a cache
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
 
     # The syntax and hook stages run no behaviors, only their gates. Builders run
@@ -644,7 +701,8 @@ def _run_engine(
             snapshot, stats = _scan(out, stat_data=cache is not None)  # a plain run keeps no record
             old_trace = None if snapshot.get(TRACE_FILE, _OTHER) < 0 else _read(out, TRACE_FILE)
             if cache is not None:
-                trusted = _trusted(stats, cache.stat)
+                stat = _stat_digest(stats)
+                trusted = _trusted(stats) if stat == cache.stat else ()
                 keys, hits = _lookup_cache(cache, ctx, out, snapshot, trusted, old_trace)
             _build(ctx, hits)
         try:
@@ -680,9 +738,12 @@ def _run_engine(
         if snapshot.get(TRACE_FILE, _DIR) == _DIR:  # no trace.map; a folder of that name is none
             _check_replaceable(out, snapshot, ours)
         changed = {path: text for path, text in files.items() if path not in same}
+        if cache is not None and cache.path is not None:
+            if os.path.realpath(os.path.dirname(cache.path) or ".") != out:
+                _write_map(cache.path, b"", "ab")  # fail before the swap, not after it
         _atomic_swap(out, changed, [*hits, *same])
-        if cache is not None:  # the stat data of the output as this run leaves it
-            _, stats = _scan(out)
+        if cache is not None:
+            stat = _stat_digest(_scan(out)[1])
 
     report = GenerationReport(
         written=tuple(sorted(ctx.containers)),
@@ -697,7 +758,9 @@ def _run_engine(
             for path, key in keys.items()
         },
         trace=_digest(files[TRACE_FILE]),
-        stat=_stat_digest(stats) if cache is not None else "",
+        stat=stat,
+        path=None if cache is None else cache.path,
+        saved=None if cache is None else cache.saved,
     )
 
 
@@ -764,20 +827,18 @@ def _stat_digest(stats: Mapping[str, tuple[int, int, int, int]]) -> str:
     return _digest(repr(sorted(stats.items())))
 
 
-def _trusted(stats: Mapping[str, tuple[int, int, int, int]], record: str) -> set[str]:
-    """The files of ``stats`` that hold the bytes they held when ``record`` was taken.
+def _trusted(stats: Mapping[str, tuple[int, int, int, int]]) -> set[str]:
+    """The files of ``stats`` that hold the bytes they held when the record was taken.
 
-    ``record`` is the ``_stat_digest`` of the output directory as a run left
-    it. If ``stats`` no longer has that digest, or ``record`` is empty, no file
-    is trusted. Otherwise the record was taken after every write, so a file
-    changed since, other than by setting its mtime back, got an mtime no older
-    than the newest one; it kept its stat data only if its recorded mtime was
-    in that same clock tick. A file whose mtime is older than the newest is
-    trusted, and the rest are racy and must be read (git's racy-clean rule,
-    with the newest mtime in place of the index file's own).
+    The record is the ``_stat_digest`` of the output directory as a run left
+    it, and the caller trusts no file unless ``stats`` still has that digest.
+    The record was taken after every write, so
+    a file changed since, other than by setting its mtime back, got an mtime
+    no older than the newest one; it kept its stat data only if its recorded
+    mtime was in that same clock tick. A file whose mtime is older than the
+    newest is trusted, and the rest are racy and must be read (git's
+    racy-clean rule, with the newest mtime in place of the index file's own).
     """
-    if not record or _stat_digest(stats) != record:
-        return set()
     mtimes = {path: mtime for path, (_, mtime, _, _) in stats.items()}
     newest = max(mtimes.values(), default=0)
     return {path for path, mtime in mtimes.items() if mtime < newest}
@@ -896,7 +957,11 @@ def _check_replaceable(out: str, snapshot: Mapping[str, int], ours: Collection[s
 def generate(
     composed: ComposedGenerator, diagram: ClassDiagram, spec: VariantSpec
 ) -> GenerationReport:
-    """Run the full pipeline and write all artifacts atomically."""
+    """Run the full pipeline and write all artifacts atomically.
+
+    A swap of the output that was cut off between its renames is recovered first.
+    """
+    recover_interrupted_swap(spec.output_path)
     report, _ = _run_engine(composed, diagram, spec, cache=None)
     return report
 
@@ -906,13 +971,24 @@ def incremental_generate(
     diagram: ClassDiagram,
     spec: VariantSpec,
     cache: GenCache,
+    digest: str | None = None,
 ) -> tuple[GenerationReport, GenCache]:
     """Like generate, but skip building artifacts whose cache key is unchanged.
 
     Outputs are byte-identical to a cold run; the returned cache reflects the
-    new state. On an aborted run the input cache is returned unchanged.
+    new state, with a run line for the run digest ``digest`` (see
+    ``run_digest``) if one is given. A cache read by ``read_cache`` is written
+    back to its map when the map's bytes change or the map is gone; a map
+    kept outside the output directory that cannot be written fails the run
+    before the output is replaced. On an aborted run the input cache is
+    returned unchanged and nothing is written.
     """
-    return _run_engine(composed, diagram, spec, cache=cache)
+    report, new_cache = _run_engine(composed, diagram, spec, cache=cache)
+    if report.ok:
+        if digest is not None:
+            new_cache.run = (digest, report.facts_count)
+        _save(new_cache)
+    return report, new_cache
 
 
 # ---------------------------------------------------------------------------
@@ -954,8 +1030,12 @@ def unchanged_run(out_dir: str | Path, cache: GenCache, digest: str) -> Generati
     digest; an artifact that the recorded stat data vouches for (see
     ``_trusted``) is not read. The report then lists every artifact as a
     cache hit, with the recorded facts count and the trace read from
-    ``trace.map`` on first use; nothing is parsed, built or written.
-    Otherwise it is None, and the engine must run.
+    ``trace.map`` on first use; nothing is parsed, built or written in the
+    output. Otherwise it is None, and the engine must run.
+
+    When the stat data no longer match the record, every file was read, so
+    the record is renewed: ``cache`` takes the new stat digest and its map,
+    if it has one, is written again.
     """
     if cache.run is None or cache.run[0] != digest or TRACE_FILE in cache.entries:
         return None
@@ -963,7 +1043,8 @@ def unchanged_run(out_dir: str | Path, cache: GenCache, digest: str) -> Generati
     snapshot, stats = _scan(out)
     if _strays(snapshot, {*cache.entries, TRACE_FILE, CACHE_FILE}):
         return None
-    trusted = _trusted(stats, cache.stat)
+    stat = _stat_digest(stats)
+    trusted = _trusted(stats) if stat == cache.stat else set()
     recorded = {
         path: content for path, (_, content) in cache.entries.items() if path not in trusted
     }
@@ -972,6 +1053,9 @@ def unchanged_run(out_dir: str | Path, cache: GenCache, digest: str) -> Generati
         data = _read(out, path) if snapshot.get(path, _OTHER) >= 0 else None
         if data is None or hashlib.sha256(data).hexdigest() != content:
             return None
+    if stat != cache.stat:
+        cache.stat = stat
+        _save(cache)
     return GenerationReport(
         written=(),
         skipped_cache_hits=tuple(sorted(cache.entries)),

@@ -3,8 +3,11 @@ from __future__ import annotations
 import errno
 import hashlib
 import io
+import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -436,7 +439,10 @@ def test_generate_incremental_replaces_an_output_that_differs(tmp_path, damage):
 def test_generate_recovers_a_swap_cut_off_between_its_renames(tmp_path, monkeypatch, rerun):
     vsp = write_variant(tmp_path)
     assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
-    cold = read_tree(tmp_path / "out")
+    # The interrupted swap's links changed the stat data of the old files, so
+    # an incremental rerun hashes them all and renews the map's stat record.
+    tree = _tree_but_stat if rerun else read_tree
+    cold = tree(tmp_path / "out")
     real_rename = Path.rename
     renames = []
 
@@ -464,7 +470,7 @@ def test_generate_recovers_a_swap_cut_off_between_its_renames(tmp_path, monkeypa
         assert "written: none\n" in out
     # The recovered output already holds these bytes, so even a plain run
     # leaves it, cache map included.
-    assert read_tree(tmp_path / "out") == cold
+    assert tree(tmp_path / "out") == cold
 
 
 @pytest.mark.parametrize("fail", ["staging", "rename"])
@@ -615,6 +621,74 @@ def test_generate_incremental_cache_under_a_file(tmp_path):
     assert err == f"usage error: --cache {str(cache)!r} is not a directory\n"
     assert read_tree(tmp_path / "out") == before
     assert afile.read_text() == "not a cache\n"
+
+
+def test_generate_incremental_fails_on_an_unwritable_map_before_replacing_out(tmp_path):
+    vsp = write_variant(tmp_path)
+    cache_dir = tmp_path / "c"
+    assert run("generate", "--incremental", "--cache", str(cache_dir), "-s", str(vsp))[0] == EXIT_OK
+    out_dir = tmp_path / "out"
+    before, stats = read_tree(out_dir), _file_stats(out_dir)
+    (cache_dir / "gencache.map").unlink()
+    (cache_dir / "gencache.map").mkdir()  # a map that cannot be written
+    write_variant(tmp_path, cdl=SHOP_CDL.replace("}\n}", "}\n  class Extra { id: int; }\n}"))
+
+    # The new class has files to write, so the run would swap out:; the map
+    # is found unwritable first, and out: keeps every old file.
+    code, out, err = run("generate", "--incremental", "--cache", str(cache_dir), "-s", str(vsp))
+    assert (code, out) == (EXIT_GENERATION, "")
+    assert "cannot write" in err and str(cache_dir / "gencache.map") in err
+    assert read_tree(out_dir) == before and _file_stats(out_dir) == stats
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "demo.vsp", "out", "shop.cdl"]
+
+
+def test_generate_incremental_refuses_a_cache_inside_out(tmp_path):
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    before, stats = read_tree(out_dir), _file_stats(out_dir)
+    (tmp_path / "link").symlink_to(out_dir)
+
+    # A map inside out: would be a stray that every run swaps away; the
+    # refusal comes before anything is written, also through a symlink.
+    for cache_dir in (out_dir / "sub", tmp_path / "link" / "sub" / "deeper"):
+        code, out, err = run("generate", "--incremental", "--cache", str(cache_dir), "-s", str(vsp))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"usage error: --cache {str(cache_dir)!r} lies inside the output directory "
+            f"{str(out_dir)!r}\n"
+        )
+        assert read_tree(out_dir) == before and _file_stats(out_dir) == stats
+
+    # out: itself is where the map lives without --cache.
+    code, out, err = run("generate", "--incremental", "--cache", str(out_dir), "-s", str(vsp))
+    assert (code, err) == (EXIT_OK, "") and "written: none\n" in out
+    assert read_tree(out_dir) == before and _file_stats(out_dir) == stats
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [[()], [("--incremental",)] * 3, [("--incremental", "--cache", "c")] * 2],
+    ids=["plain", "incremental", "incremental with --cache"],
+)
+def test_generate_recovers_an_interrupted_swap_once_per_command(tmp_path, monkeypatch, runs):
+    vsp = write_variant(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    real = genline.generation.recover_interrupted_swap
+    calls = []
+
+    def spy(out_dir):
+        calls.append(out_dir)
+        return real(out_dir)
+
+    monkeypatch.setattr(genline.generation, "recover_interrupted_swap", spy)
+    # Cold, a no-change rerun (the cutoff) and an edit (the engine).
+    for options, cdl in zip(runs, (SHOP_CDL, SHOP_CDL, EDITED_CDL)):
+        write_variant(tmp_path, cdl=cdl)
+        calls.clear()
+        code, _, err = run("generate", *options, "-s", str(vsp))
+        assert (code, err) == (EXIT_OK, "")
+        assert calls == [str(tmp_path / "out")]
 
 
 def _spy(monkeypatch, name: str, replace=None) -> list:
@@ -909,15 +983,45 @@ def test_a_map_without_a_valid_stat_digest_is_read_and_hashed(tmp_path, monkeypa
     assert (code, err) == (EXIT_OK, "") and "written: none\n" in out
     artifacts = set(cold) - {"gencache.map", "trace.map"}
     assert artifacts <= set(reads)
-    if damage == "four fields":
-        # The whole-run cutoff answered; it writes nothing, so the map stays as it was.
-        assert read_tree(out_dir) == {**cold, "gencache.map": older}
-        write_variant(tmp_path, cdl=EDITED_CDL)
-        assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
-    else:
-        # The engine ran and left every file; the map it wrote is the first one again.
-        assert read_tree(out_dir) == cold
+    # The whole-run cutoff (four fields) or the engine (a dropped run line)
+    # answered and left every file. Either wrote the stat digest of out:,
+    # which has not changed, so the map is the first one again.
+    assert read_tree(out_dir) == cold
     assert _run_line(out_dir)[4] == _stat_digest_of(out_dir)
+
+
+def test_a_cutoff_that_hashed_every_file_renews_the_stat_record(tmp_path, monkeypatch):
+    vsp = write_variant(tmp_path, features=", ".join(ALL_FEATURES), mode="hybrid", cdl=COVERING_CDL)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    reads = _spy_reads(monkeypatch)
+    for touched in ("Manager.oo", "all"):
+        if touched == "all":  # every file gets the newest mtime: none is trusted
+            for p in out_dir.iterdir():
+                os.utime(p, ns=(10**18, 10**18))
+        else:
+            os.utime(out_dir / touched)
+        stats = _file_stats(out_dir)
+        files = set(stats) - {"gencache.map"}
+
+        # The stat data no longer match: the cutoff hashes every file, writes
+        # nothing in out: but renews the map's record.
+        reads.clear()
+        code, out, err = run("generate", "--incremental", "-s", str(vsp))
+        assert (code, err) == (EXIT_OK, "") and "written: none\n" in out
+        assert set(reads) == files
+        assert _run_line(out_dir)[4] == _stat_digest_of(out_dir)
+        after = _file_stats(out_dir)
+        assert {p: after[p] for p in files} == {p: stats[p] for p in files}
+
+        # So the next rerun reads only the racy files, and, the record
+        # matching, writes no map.
+        reads.clear()
+        code, out, err = run("generate", "--incremental", "-s", str(vsp))
+        assert (code, err) == (EXIT_OK, "") and "written: none\n" in out
+        assert set(reads) == _racy(out_dir) | {"trace.map"}
+        assert len(reads) < len(files) or touched == "all"
+        assert _file_stats(out_dir) == after
 
 
 @lru_cache(maxsize=None)
@@ -999,22 +1103,23 @@ def test_generate_incremental_with_an_unreadable_cache(tmp_path, monkeypatch):
     assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
     cold = read_tree(tmp_path / "out")
 
-    def refused_for_the_map(real):
-        def method(self, *args):
-            if self.name == "gencache.map":
-                raise PermissionError(errno.EACCES, "Permission denied", str(self))
-            return real(self, *args)
+    def refused_for_the_map(*modes):
+        """The engine's ``open``, refusing the cache map in these modes."""
+        def method(file, mode="r", *args, **kwargs):
+            if os.path.basename(file) == "gencache.map" and mode in modes:
+                raise PermissionError(errno.EACCES, "Permission denied", file)
+            return open(file, mode, *args, **kwargs)
 
         return method
 
     # A cache map that cannot be read is no cache: every artifact misses,
     # the output already holds the bytes, and the map is written again.
-    monkeypatch.setattr(Path, "read_bytes", refused_for_the_map(Path.read_bytes))
+    monkeypatch.setattr(genline.generation, "open", refused_for_the_map("rb"), raising=False)
     code, out, err = run("generate", "--incremental", "-s", str(vsp))
     assert code == EXIT_OK, err
     assert "cache hits: none\n" in out
     # A map that can then not be written either fails the run.
-    monkeypatch.setattr(Path, "write_bytes", refused_for_the_map(Path.write_bytes))
+    monkeypatch.setattr(genline.generation, "open", refused_for_the_map("rb", "wb", "ab"))
     code, out, err = run("generate", "--incremental", "-s", str(vsp))
     assert code == EXIT_GENERATION
     assert "cannot write" in err and "gencache.map" in err
@@ -1323,3 +1428,19 @@ def test_benchmark_hook_points_see_an_incremental_edit(tmp_path, monkeypatch):
     }
     assert spans == points - not_in_edit
     assert len(spans) == 18
+
+
+def test_one_traced_benchmark_round_of_the_incremental_workload_is_correct():
+    # genbench's incremental workload edits a 200-class diagram, regenerates
+    # with --incremental, reruns with no change and compares every output
+    # with a cold generate. It writes only under .genbench-out/.
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "genbench/run.py", "--workload", "incremental", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    last = json.loads(result.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0)
