@@ -21,9 +21,39 @@ One compilation unit per artifact:
 
 The checker recognizes the language; it does not build a tree or resolve
 names. Checking happens on in-memory containers before anything is written.
+
+``check_unit`` decides a unit with three C-level calls (four when the text
+holds a comment), and runs the recursive-descent parser only when they find
+it invalid, so that every error keeps the parser's message, line and column:
+
+1. ``_NAME`` replaces each identifier that is not a keyword with ``I`` and
+   leaves keywords as they are. It matches only at a token start: an
+   identifier character before the match would make it the tail of a longer
+   identifier or of a number. When the text holds ``//``, each comment is
+   first replaced with a blank.
+2. The blanks that separate tokens (space, tab, ``\\r``, ``\\n``) are removed.
+3. ``_UNIT`` must match the whole of what is left. It spells the grammar
+   above over keywords, ``I`` and punctuation, with no blanks.
+
+The normalisation never maps two different token sequences to one string.
+Each token becomes one code word: a keyword, ``I`` or one punctuation
+character. No code word is a prefix of another, because no keyword is a
+prefix of another and none contains ``I`` or punctuation, so the string
+splits into code words in only one way. A character the tokenizer refuses
+stays in the string and lies outside ``_UNIT``'s alphabet: a digit at a
+token start (kept with the identifier characters after it), ``\\x0c``, ``é``
+or a lone ``/``.
+
+``_UNIT`` unrolls call nesting only ``_UNROLL_DEPTH`` levels deep, well
+below ``MAX_NESTING``; each argument list holds one copy of the expression
+of the level below, so the pattern grows linearly with the depth. The
+pattern therefore accepts a subset of what the parser accepts, and a unit
+with deeper calls is left to the parser.
 """
 
 from __future__ import annotations
+
+import re
 
 from .lexing import MAX_NESTING, TextSyntaxError, TokenStream, tokenize
 
@@ -34,9 +64,54 @@ KEYWORDS = frozenset(
     {"package", "class", "interface", "enum", "extends", "implements", "return", "new", "this"}
 )
 
+# Call nesting that ``_UNIT`` follows (at least 1); deeper calls are left to
+# the parser.
+_UNROLL_DEPTH = 2
+
+_COMMENT = re.compile(r"//[^\n]*")
+# An identifier that is not a keyword. Under re.ASCII, ``\b`` and ``\w`` see
+# only [A-Za-z0-9_], the tokenizer's identifier characters, so a match starts
+# where a token starts.
+_NAME = re.compile(r"\b(?!(?:%s)\b)[A-Za-z_]\w*" % "|".join(sorted(KEYWORDS)), re.ASCII)
+_BLANKS = str.maketrans("", "", " \t\r\n")
+
+
+def _expr_rx(depth: int) -> str:
+    """An expression whose calls nest at most ``depth`` levels."""
+    call = f"(?:{_args_rx(depth)})?" if depth else ""
+    return rf"(?:newI\(\)|this|I(?:\.I)*{call})"
+
+
+def _args_rx(depth: int) -> str:
+    """A call's argument list, with the expression written once: each
+    argument is followed by a comma that a ')' does not follow, or by ')'."""
+    return rf"\((?:{_expr_rx(depth - 1)}(?:,(?!\))|(?=\))))*\)"
+
+
+def _unit_pattern() -> str:
+    """The grammar above over code words: ``I`` for a name, each keyword
+    and punctuation token as itself."""
+    params = r"\((?:II(?:,II)*)?\)"
+    stmt = (
+        rf"(?:return|I(?:I|(?:\.I)*)=){_expr_rx(_UNROLL_DEPTH)};|return;"
+        rf"|(?:newI\(\)|this);|I(?:\.I)*(?:{_args_rx(_UNROLL_DEPTH)})?;"
+    )
+    block = rf"\{{(?:{stmt})*\}}"
+    member = rf"I(?:I;|I{params};|I?{params}{block})"
+    classd = rf"classI(?:extendsI)?(?:implementsI(?:,I)*)?\{{(?:{member})*\}}"
+    ifaced = rf"interfaceI\{{(?:II{params};)*\}}"
+    enumd = r"enumI\{I(?:,I)*\}"
+    return rf"packageI;(?:{classd}|{ifaced}|{enumd})"
+
+
+_UNIT = re.compile(_unit_pattern())
+
 
 def check_unit(text: str) -> TextSyntaxError | None:
     """Return None when the text is a valid unit, else its first syntax error."""
+    words = _COMMENT.sub(" ", text) if "//" in text else text
+    if _UNIT.fullmatch(_NAME.sub("I", words).translate(_BLANKS)):
+        return None
     try:
         ts = TokenStream(tokenize(text, _PUNCTS), text)
         _unit(ts)

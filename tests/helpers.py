@@ -4,9 +4,11 @@ and the oracles that enumeration and the tokenizer are checked against."""
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path, PurePosixPath
 from typing import Iterator
+from unittest import mock
 
 from genline import (
     ClassDiagram,
@@ -22,6 +24,7 @@ from genline import (
     resolve_components,
     validate_composition,
 )
+from genline import ootl
 from genline.components import build_registry
 from genline.composition import ComposedGenerator
 from genline.featuremodel import MANDATORY
@@ -255,3 +258,14 @@ def reference_tokenize(source: str, puncts: tuple[str, ...], vsp: bool = False) 
         pos = stop
     tokens.append(("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+@contextmanager
+def parser_never_runs() -> Iterator[None]:
+    """Within it, ``ootl.check_unit`` fails the test if it falls back to the
+    parser: a unit it returns None for was accepted by the pattern alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_unit fell back to the parser")
+
+    with mock.patch.object(ootl, "tokenize", refuse), mock.patch.object(ootl, "_unit", refuse):
+        yield

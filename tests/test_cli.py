@@ -1219,6 +1219,16 @@ def test_generate_rejects_over_deep_generated_code(tmp_path):
     assert read_tree(tmp_path / "out") == before
 
 
+def test_generate_accepts_calls_nested_past_the_patterns_depth(tmp_path):
+    # The syntax gate's pattern follows calls only a few levels deep; deeper
+    # calls, up to the parser's limit, are still valid code.
+    call = "f(" * 60 + ")" * 60
+    vsp = write_variant(tmp_path, extra=f'  bind Types.constructor_body = " {call};";\n')
+    code, _, err = run("generate", "-s", str(vsp))
+    assert code == EXIT_OK, err
+    assert f"Person() {{ {call}; }}" in (tmp_path / "out" / "Person.oo").read_text()
+
+
 def test_generate_run_time_mode(tmp_path):
     vsp = write_variant(
         tmp_path, features="CD2Java, Types, Class, DefaultConstructor, Factory", mode="run_time"
@@ -1430,13 +1440,15 @@ def test_benchmark_hook_points_see_an_incremental_edit(tmp_path, monkeypatch):
     assert len(spans) == 18
 
 
-def test_one_traced_benchmark_round_of_the_incremental_workload_is_correct():
+@pytest.mark.parametrize("workload", ["incremental", "cold-large"])
+def test_one_traced_benchmark_round_of_the_workload_is_correct(workload):
     # genbench's incremental workload edits a 200-class diagram, regenerates
     # with --incremental, reruns with no change and compares every output
-    # with a cold generate. It writes only under .genbench-out/.
+    # with a cold generate; cold-large generates that diagram into a fresh
+    # directory and checks every artifact. It writes only under .genbench-out/.
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "genbench/run.py", "--workload", "incremental", "--seed", "1",
+        [sys.executable, "genbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=root, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},

@@ -188,8 +188,10 @@ def _opcodes(node):
 @pytest.mark.skipif(not hasattr(re, "_parser"), reason="re._parser is Python 3.11+")
 def test_master_patterns_compile_on_python_3_10():
     # Possessive quantifiers and atomic groups need Python 3.11; genline
-    # supports 3.10, where such a pattern fails to compile.
+    # supports 3.10, where such a pattern fails to compile. This holds for
+    # the tokenizer's patterns and for the syntax check's own two.
     newer = {re._constants.POSSESSIVE_REPEAT, re._constants.ATOMIC_GROUP}
-    for puncts, is_vsp in _LEXICONS:
-        parsed = re._parser.parse(_master(puncts, is_vsp).pattern)
-        assert not newer & set(_opcodes(parsed))
+    patterns = [_master(puncts, is_vsp) for puncts, is_vsp in _LEXICONS]
+    for pattern in patterns + [ootl._UNIT, ootl._NAME]:
+        parsed = re._parser.parse(pattern.pattern, pattern.flags)
+        assert not newer & set(_opcodes(parsed)), pattern.pattern

@@ -4,6 +4,7 @@ import pytest
 
 from genline.classdiagram import parse_class_diagram
 from genline import ootl
+from genline.components import BINDING_MODES
 from genline.generation import EngineError, Fact, generate
 from genline.reference import (
     FG_ENUM,
@@ -22,7 +23,16 @@ from genline.reference import (
     reference_components,
 )
 
-from helpers import ALL_FEATURES, compose_reference, covering_diagram, make_spec, read_tree, restrict_diagram
+from helpers import (
+    ALL_FEATURES,
+    artifact_map,
+    compose_reference,
+    covering_diagram,
+    make_spec,
+    parser_never_runs,
+    read_tree,
+    restrict_diagram,
+)
 
 FULL = frozenset(ALL_FEATURES)
 HYBRID_GEN = ("CD2Java", "Types", "Class", "DefaultConstructor", "Factory")
@@ -145,7 +155,7 @@ def test_provider_enum_interface_artifacts():
     )
 
 
-def test_all_emitters_produce_valid_units():
+def test_all_emitters_produce_valid_units(tmp_path):
     person = _person()
     diagram = covering_diagram()
     containers = [
@@ -162,8 +172,18 @@ def test_all_emitters_produce_valid_units():
             "run_time",
         ),
     ]
-    for container in containers:
-        assert ootl.check_unit(container.content()) is None, container.path
+    texts = {container.path: container.content() for container in containers}
+    # Everything the reference line generates for the covering diagram, in
+    # each binding mode, is decided by the pattern without the parser.
+    for mode in BINDING_MODES:
+        spec = make_spec(FULL, tmp_path / mode, mode)
+        report = generate(compose_reference(FULL), restrict_diagram(covering_diagram(), FULL, mode), spec)
+        assert report.ok, report.violations
+        texts.update({f"{mode}/{path}": data.decode() for path, data in artifact_map(spec.output_path).items()})
+    assert len(texts) > 6
+    with parser_never_runs():
+        for path, text in texts.items():
+            assert ootl.check_unit(text) is None, path
 
 
 def test_builder_emit_golden():
