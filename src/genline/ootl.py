@@ -22,15 +22,14 @@ One compilation unit per artifact:
 The checker recognizes the language; it does not build a tree or resolve
 names. Checking happens on in-memory containers before anything is written.
 
-``check_unit`` decides a unit with three C-level calls (four when the text
-holds a comment), and runs the recursive-descent parser only when they find
-it invalid, so that every error keeps the parser's message, line and column:
+``check_unit`` decides a unit with three C-level calls, and runs the
+recursive-descent parser only when they find it invalid, so that every error
+keeps the parser's message, line and column:
 
 1. ``_NAME`` replaces each identifier that is not a keyword with ``I`` and
    leaves keywords as they are. It matches only at a token start: an
    identifier character before the match would make it the tail of a longer
-   identifier or of a number. When the text holds ``//``, each comment is
-   first replaced with a blank.
+   identifier or of a number.
 2. The blanks that separate tokens (space, tab, ``\\r``, ``\\n``) are removed.
 3. ``_UNIT`` must match the whole of what is left. It spells the grammar
    above over keywords, ``I`` and punctuation, with no blanks.
@@ -41,8 +40,9 @@ character. No code word is a prefix of another, because no keyword is a
 prefix of another and none contains ``I`` or punctuation, so the string
 splits into code words in only one way. A character the tokenizer refuses
 stays in the string and lies outside ``_UNIT``'s alphabet: a digit at a
-token start (kept with the identifier characters after it), ``\\x0c``, ``é``
-or a lone ``/``.
+token start (kept with the identifier characters after it), ``\\x0c`` or
+``é``. So does the ``/`` of a comment: generated code holds none, and a unit
+that does is left to the parser, which skips it.
 
 ``_UNIT`` unrolls call nesting only ``_UNROLL_DEPTH`` levels deep, well
 below ``MAX_NESTING``; each argument list holds one copy of the expression
@@ -68,7 +68,6 @@ KEYWORDS = frozenset(
 # the parser.
 _UNROLL_DEPTH = 2
 
-_COMMENT = re.compile(r"//[^\n]*")
 # An identifier that is not a keyword. Under re.ASCII, ``\b`` and ``\w`` see
 # only [A-Za-z0-9_], the tokenizer's identifier characters, so a match starts
 # where a token starts.
@@ -109,8 +108,7 @@ _UNIT = re.compile(_unit_pattern())
 
 def check_unit(text: str) -> TextSyntaxError | None:
     """Return None when the text is a valid unit, else its first syntax error."""
-    words = _COMMENT.sub(" ", text) if "//" in text else text
-    if _UNIT.fullmatch(_NAME.sub("I", words).translate(_BLANKS)):
+    if _UNIT.fullmatch(_NAME.sub("I", text).translate(_BLANKS)):
         return None
     try:
         ts = TokenStream(tokenize(text, _PUNCTS), text)

@@ -1219,16 +1219,6 @@ def test_generate_rejects_over_deep_generated_code(tmp_path):
     assert read_tree(tmp_path / "out") == before
 
 
-def test_generate_accepts_calls_nested_past_the_patterns_depth(tmp_path):
-    # The syntax gate's pattern follows calls only a few levels deep; deeper
-    # calls, up to the parser's limit, are still valid code.
-    call = "f(" * 60 + ")" * 60
-    vsp = write_variant(tmp_path, extra=f'  bind Types.constructor_body = " {call};";\n')
-    code, _, err = run("generate", "-s", str(vsp))
-    assert code == EXIT_OK, err
-    assert f"Person() {{ {call}; }}" in (tmp_path / "out" / "Person.oo").read_text()
-
-
 def test_generate_run_time_mode(tmp_path):
     vsp = write_variant(
         tmp_path, features="CD2Java, Types, Class, DefaultConstructor, Factory", mode="run_time"

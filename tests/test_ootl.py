@@ -109,9 +109,14 @@ _SOUP = [
     *sorted(KEYWORDS), "I", "newx", "x1", "int", *ootl._PUNCTS,
     " ", "\t", "\n", "\r\n", "// note\n", "//", "\x0c", "é", "/", "1", "0x",
 ]
-# What comes before each token of a rendered unit; the mutations also join
-# tokens with nothing, which merges neighbouring words.
-_BLANKS = [" ", "\n", "\t", "\r\n", " // note\n"]
+# What comes before each token of a rendered unit, and what may end it; the
+# mutations also join tokens with nothing, which merges neighbouring words.
+# Generated code holds no comments, so a unit that must take the fast path is
+# rendered with blanks alone.
+_BLANKS = [" ", "\n", "\t", "\r\n"]
+_BLANKS_AND_COMMENTS = [*_BLANKS, " // note\n"]
+_ENDS = ["", "\n"]
+_ENDS_AND_COMMENTS = [*_ENDS, " // end"]
 # Prefixes that take a soup of tokens past the first rules of the grammar.
 _START = ["", "package p;", "package p; class C {", "package p; class C { void f() {",
           "package p; class C { void f() { x = f(", "package p; interface I {"]
@@ -196,12 +201,11 @@ def _valid_unit(draw, depth):
 
 
 @st.composite
-def _rendered(draw, tokens, blanks):
-    """Tokens, each after a separator drawn from ``blanks``, and maybe a last
-    comment that the input ends in."""
+def _rendered(draw, tokens, blanks=_BLANKS_AND_COMMENTS, ends=_ENDS_AND_COMMENTS):
+    """Tokens, each after a separator drawn from ``blanks``, then one of ``ends``."""
     tokens = draw(tokens)
     seps = draw(st.lists(st.sampled_from(blanks), min_size=len(tokens), max_size=len(tokens)))
-    return "".join(sep + tok for sep, tok in zip(seps, tokens)) + draw(st.sampled_from(["", "\n", " // end"]))
+    return "".join(sep + tok for sep, tok in zip(seps, tokens)) + draw(st.sampled_from(ends))
 
 
 @st.composite
@@ -214,7 +218,7 @@ def _mutated(draw):
     tokens = draw(st.sampled_from([
         tokens[:i] + tokens[i + 1:], tokens[:i] + [other] + tokens[i:], tokens[:i] + [other] + tokens[i + 1:],
     ]))
-    return draw(_rendered(st.just(tokens), ["", *_BLANKS]))
+    return draw(_rendered(st.just(tokens), ["", *_BLANKS_AND_COMMENTS]))
 
 
 _SOUP_TEXT = st.tuples(st.sampled_from(_START), st.lists(st.sampled_from(_SOUP), max_size=30)).map(
@@ -223,13 +227,13 @@ _SOUP_TEXT = st.tuples(st.sampled_from(_START), st.lists(st.sampled_from(_SOUP),
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_SOUP_TEXT, _mutated(), _rendered(_valid_unit(ootl._UNROLL_DEPTH + 2), _BLANKS)))
+@given(st.one_of(_SOUP_TEXT, _mutated(), _rendered(_valid_unit(ootl._UNROLL_DEPTH + 2))))
 def test_check_unit_decides_as_the_parser_does(text):
     assert _checked(text) == _parsed(text)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rendered(_valid_unit(ootl._UNROLL_DEPTH), _BLANKS))
+@given(_rendered(_valid_unit(ootl._UNROLL_DEPTH), _BLANKS, _ENDS))
 def test_a_unit_within_the_unroll_depth_never_reaches_the_parser(text):
     with parser_never_runs():
         assert check_unit(text) is None
