@@ -13,6 +13,32 @@ CDL text format:
     enumdecl  := "enum" IDENT "{" IDENT { "," IDENT } "}"
     type      := "int" | "boolean" | "string" | IDENT
 
+Diagram, tag, superclass, interface and attribute names may not be reserved
+words; class, interface, enum, operation, constant and type names may.
+
+``parse_class_diagram`` reads a valid model with compiled patterns and runs
+the recursive-descent parser only for a model the patterns leave, so every
+error keeps the parser's message, line and column:
+
+1. ``_HEAD`` matches ``classdiagram NAME {``.
+2. ``_DECL`` matches, at the offset where the last match ended, one
+   declaration with its whole body, or the closing ``}`` and the blanks up
+   to the end of the text. It spells the grammar above over the
+   tokenizer's exact blanks (``[ \\t\\r\\n]``, not ``\\s``) and identifiers,
+   and refuses a reserved word where the parser refuses one.
+3. Within a matched body, ``finditer`` reads the attributes, operations or
+   constants. Their lines and columns come from the match offsets, with a
+   line index that only moves forward through the text.
+
+The parser gets a model the patterns leave a gap in, and one that repeats
+an attribute or an enum constant, which it reports. A gap is left by an
+error, by any character the tokenizer refuses, and by a ``//`` comment: the
+patterns hold no ``/``, and the parser skips the comment. For any other
+model the patterns build the parser's AST, positions included. In each
+repeated part of a pattern, every blank run lies between two tokens, so a
+failed match backtracks over each character a bounded number of times and
+takes time linear in the text.
+
 Context conditions are well-formedness predicates over a parsed diagram. The
 core set (CC-01 .. CC-05) is always active; front-end components may contribute
 further conditions per variant. A condition is a code and a check. Most are
@@ -23,6 +49,7 @@ the helper reports each one as a violation ``<message> at <line>:<column>``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -109,9 +136,116 @@ class ClassDiagram:
 
 _PUNCTS = ("<<", ">>", "{", "}", "(", ")", ":", ";", ",")
 
+# The tokenizer's blanks. Not ``\s``: it also takes ``\x0c`` and ``\u2028``,
+# which the tokenizer refuses.
+_B = r"[ \t\r\n]"
+# An identifier, and one the parser reads with ``expect_name``: not a reserved
+# word. The patterns are compiled with re.ASCII, under which ``\w`` and ``\b``
+# see only [A-Za-z0-9_], the tokenizer's identifier characters.
+_IDENT = r"[A-Za-z_]\w*"
+_NAME = r"(?!(?:%s)\b)%s" % ("|".join(sorted(_RESERVED)), _IDENT)
+
+_HEAD = re.compile(rf"{_B}*classdiagram{_B}+({_NAME}){_B}*\{{", re.ASCII)
+
+
+def _decl_pattern() -> str:
+    """One declaration or the diagram's closing brace, from blanks on. The
+    last group of each declaration is its body, so ``lastgroup`` names the
+    kind matched, and is None for the closing brace."""
+    names = rf"{_NAME}(?:{_B}*,{_B}*{_NAME})*"
+    attrs = rf"(?:{_B}*{_NAME}{_B}*:{_B}*{_IDENT}{_B}*;)*"
+    classd = (
+        rf"(?P<tags>(?:<<{_B}*{_NAME}{_B}*>>{_B}*)*)class{_B}+(?P<class>{_IDENT})"
+        rf"(?:{_B}+extends{_B}+(?P<extends>{_NAME}))?(?:{_B}+implements{_B}+(?P<implements>{names}))?"
+        rf"{_B}*\{{(?P<attrs>{attrs}){_B}*\}}"
+    )
+    ops = rf"(?:{_B}*{_IDENT}{_B}*\({_B}*\){_B}*:{_B}*{_IDENT}{_B}*;)*"
+    ifaced = rf"interface{_B}+(?P<interface>{_IDENT}){_B}*\{{(?P<ops>{ops}){_B}*\}}"
+    constants = rf"{_B}*{_IDENT}(?:{_B}*,{_B}*{_IDENT})*"
+    enumd = rf"enum{_B}+(?P<enum>{_IDENT}){_B}*\{{(?P<constants>{constants}){_B}*\}}"
+    return rf"{_B}*(?:{classd}|{ifaced}|{enumd}|\}}{_B}*\Z)"
+
+
+_DECL = re.compile(_decl_pattern(), re.ASCII)
+# Within a matched body: an attribute or an operation (the ``()`` of an
+# operation lies between its name and the ``:``), and any one word.
+_MEMBER = re.compile(rf"(\w+)[ \t\r\n()]*:{_B}*(\w+)", re.ASCII)
+_WORD = re.compile(r"\w+", re.ASCII)
+_LINE_END = re.compile(r"\n")
+
 
 def parse_class_diagram(source: str) -> ClassDiagram:
-    """Parse CDL text, preserving declaration order and source positions."""
+    """Parse CDL text, preserving declaration order and source positions.
+
+    The patterns decide a valid model; the parser runs for one with an
+    error, a comment or a repeated name, and raises its ``TextSyntaxError``.
+    """
+    diagram = _match_diagram(source)
+    return _parse(source) if diagram is None else diagram
+
+
+def _match_diagram(text: str) -> ClassDiagram | None:
+    """The diagram the patterns read from ``text``, or None if they leave a
+    gap or a name repeats where the parser refuses that."""
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    # starts[i] is the offset at which line i + 1 begins; the last entry lies
+    # past the end. Offsets are placed in increasing order, so ``row`` only
+    # moves forward.
+    starts = [0, *map(re.Match.end, _LINE_END.finditer(text)), len(text) + 1]
+    row = 1
+
+    def at(offset: int) -> tuple[int, int]:
+        """The (line, column) of an offset no lower than the last one placed."""
+        nonlocal row
+        while starts[row] <= offset:
+            row += 1
+        return row, offset - starts[row - 1] + 1
+
+    name_at = at(head.start(1))
+    types: list[TypeDecl] = []
+    pos = head.end()
+    while (m := _DECL.match(text, pos)) is not None:
+        kind, pos = m.lastgroup, m.end()
+        if kind is None:
+            return ClassDiagram(head[1], tuple(types), *name_at)
+        body = m.span(kind)
+        if kind == "attrs":
+            decl_at = at(m.start("class"))
+            attributes: dict[str, Attribute] = {}
+            for a in _MEMBER.finditer(text, *body):
+                if a[1] in attributes:
+                    return None
+                attributes[a[1]] = Attribute(a[1], a[2], *at(a.start()))
+            tags, interfaces = m["tags"], m["implements"]
+            types.append(ClassDecl(
+                m["class"],
+                tuple(_WORD.findall(tags)) if tags else (),
+                m["extends"],
+                tuple(_WORD.findall(interfaces)) if interfaces else (),
+                tuple(attributes.values()),
+                *decl_at,
+            ))
+        elif kind == "ops":
+            decl_at = at(m.start("interface"))
+            operations = [Operation(o[1], o[2], *at(o.start())) for o in _MEMBER.finditer(text, *body)]
+            types.append(InterfaceDecl(m["interface"], tuple(operations), *decl_at))
+        else:
+            decl_at = at(m.start("enum"))
+            constants: dict[str, tuple[int, int]] = {}
+            for c in _WORD.finditer(text, *body):
+                if c[0] in constants:
+                    return None
+                constants[c[0]] = at(c.start())
+            types.append(
+                EnumDecl(m["enum"], tuple(constants), *decl_at, tuple(constants.values()))
+            )
+    return None
+
+
+def _parse(source: str) -> ClassDiagram:
+    """The recursive-descent parser: every diagram the patterns leave comes here."""
     ts = TokenStream(tokenize(source, _PUNCTS), source)
     ts.expect_keyword("classdiagram")
     name_tok = ts.expect_name("diagram name", _RESERVED)

@@ -297,8 +297,8 @@ class GenCache:
     that wrote them, and ``stat`` the ``_stat_digest`` of the output directory
     that run left. The map keeps them on one run line,
     ``run <run digest> <facts count> <trace digest> <stat digest>``, written
-    when the run and the trace digest are known; without a stat digest the
-    line has only four fields, as maps written before it had.
+    when all four are known, as they are after every run through the engine
+    with a cache. A run line of any other shape is not read.
 
     ``path`` is where the cache map lives and ``saved`` the bytes it holds
     there (see ``read_cache``); a cache built in memory has no path and is
@@ -326,9 +326,8 @@ class GenCache:
             f"{path} {key} {content}"
             for path, (key, content) in sorted(self.entries.items())
         ]
-        if self.run is not None and self.trace:
-            stat = f" {self.stat}" if self.stat else ""
-            lines.append(f"{_RUN} {self.run[0]} {self.run[1]} {self.trace}{stat}")
+        if self.run is not None and self.trace and self.stat:
+            lines.append(f"{_RUN} {self.run[0]} {self.run[1]} {self.trace} {self.stat}")
         return "".join(line + "\n" for line in lines)
 
     @staticmethod
@@ -345,14 +344,14 @@ class GenCache:
                 path, key, content = parts
                 if _HEX_DIGEST.fullmatch(key) and _HEX_DIGEST.fullmatch(content):
                     entries[path] = (key, content)
-            elif len(parts) in (4, 5) and parts[0] == _RUN:
-                _, digest, facts, trace_digest, *rest = parts
+            elif len(parts) == 5 and parts[0] == _RUN:
+                _, digest, facts, trace_digest, stat = parts
                 if (
-                    all(_HEX_DIGEST.fullmatch(d) for d in (digest, trace_digest, *rest))
+                    all(_HEX_DIGEST.fullmatch(d) for d in (digest, trace_digest, stat))
                     and facts.isascii()
                     and facts.isdigit()
                 ):
-                    trace, run, stat_digest = trace_digest, (digest, int(facts)), "".join(rest)
+                    trace, run, stat_digest = trace_digest, (digest, int(facts)), stat
         return GenCache(entries, trace, run, stat_digest)
 
 

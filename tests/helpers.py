@@ -7,6 +7,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path, PurePosixPath
+from types import ModuleType
 from typing import Iterator
 from unittest import mock
 
@@ -261,11 +262,12 @@ def reference_tokenize(source: str, puncts: tuple[str, ...], vsp: bool = False) 
 
 
 @contextmanager
-def parser_never_runs() -> Iterator[None]:
-    """Within it, ``ootl.check_unit`` fails the test if it falls back to the
-    parser: a unit it returns None for was accepted by the pattern alone."""
+def parser_never_runs(module: ModuleType = ootl) -> Iterator[None]:
+    """Within it, ``ootl.check_unit``, or ``classdiagram.parse_class_diagram``
+    given that module, fails the test if it falls back to the tokenizer and
+    the parser: what it returns was decided by the patterns alone."""
     def refuse(*args, **kwargs):
-        raise AssertionError("check_unit fell back to the parser")
+        raise AssertionError(f"{module.__name__} fell back to the parser")
 
-    with mock.patch.object(ootl, "tokenize", refuse), mock.patch.object(ootl, "_unit", refuse):
+    with mock.patch.object(module, "tokenize", refuse), mock.patch.object(module, "TokenStream", refuse):
         yield

@@ -972,9 +972,9 @@ def test_a_map_without_a_valid_stat_digest_is_read_and_hashed(tmp_path, monkeypa
     cold = read_tree(out_dir)
     body, _, run_line = cold["gencache.map"].rstrip(b"\n").rpartition(b"\n")
     fields = run_line.split()
-    if damage == "four fields":  # as written before the stat digest existed
+    if damage == "four fields":  # as written before the stat digest existed: not read
         fields = fields[:4]
-    else:  # one digit short: the run line is dropped
+    else:  # one digit short: not read either
         fields[4] = fields[4][:-1]
     older = body + b"\n" + b" ".join(fields) + b"\n"
     (out_dir / "gencache.map").write_bytes(older)
@@ -983,9 +983,9 @@ def test_a_map_without_a_valid_stat_digest_is_read_and_hashed(tmp_path, monkeypa
     assert (code, err) == (EXIT_OK, "") and "written: none\n" in out
     artifacts = set(cold) - {"gencache.map", "trace.map"}
     assert artifacts <= set(reads)
-    # The whole-run cutoff (four fields) or the engine (a dropped run line)
-    # answered and left every file. Either wrote the stat digest of out:,
-    # which has not changed, so the map is the first one again.
+    # With no run line read, the engine answered, read every file and left
+    # each one. It wrote the stat digest of out:, which has not changed, so
+    # the map is the first one again.
     assert read_tree(out_dir) == cold
     assert _run_line(out_dir)[4] == _stat_digest_of(out_dir)
 

@@ -375,22 +375,25 @@ def test_gencache_round_trip_and_corruption():
     assert list(corrupt.entries) == ["A.oo"]
     assert (corrupt.run, corrupt.trace) == (None, "")
 
-    # The run line: written only with both the run and the trace digest known.
+    # The run line: written only with the run, trace and stat digests all known.
     other = hashlib.sha256(b"y").hexdigest()
-    assert GenCache(cache.entries, trace=other).to_text() == cache.to_text()
-    ran = GenCache(cache.entries, trace=other, run=(digest, 12))
-    assert ran.to_text() == cache.to_text() + f"run {digest} 12 {other}\n"
+    assert GenCache(cache.entries, trace=other, stat=other).to_text() == cache.to_text()
+    assert GenCache(cache.entries, run=(digest, 12), stat=other).to_text() == cache.to_text()
+    assert GenCache(cache.entries, trace=other, run=(digest, 12)).to_text() == cache.to_text()
+    ran = GenCache(cache.entries, trace=other, run=(digest, 12), stat=other)
+    assert ran.to_text() == cache.to_text() + f"run {digest} 12 {other} {other}\n"
     again = GenCache.from_text(ran.to_text())
     assert (again.entries, again.trace, again.run) == (cache.entries, other, (digest, 12))
     artifacts = cache.to_text()
     for damaged in (
-        f"run {'z' * 64} 12 {other}",  # a run digest that is not one
-        f"run {digest} 12 {other[:-1]}",  # a trace digest one digit short
-        f"run {digest} twelve {other}",  # a count that is not an integer
-        f"run {digest} -12 {other}",
-        f"run {digest} \u0661\u0662 {other}",  # digits, but not ASCII ones
-        f"run {digest} 12 {other} extra",  # a field too many
-        f"run {digest} 12",  # two too few
+        f"run {'z' * 64} 12 {other} {other}",  # a run digest that is not one
+        f"run {digest} 12 {other[:-1]} {other}",  # a trace digest one digit short
+        f"run {digest} twelve {other} {other}",  # a count that is not an integer
+        f"run {digest} -12 {other} {other}",
+        f"run {digest} \u0661\u0662 {other} {other}",  # digits, but not ASCII ones
+        f"run {digest} 12 {other} {other} extra",  # a field too many
+        f"run {digest} 12 {other}",  # one too few, as written before the stat digest
+        f"run {digest} 12",  # three too few
     ):
         parsed = GenCache.from_text(artifacts + damaged + "\n")
         assert (parsed.entries, parsed.run, parsed.trace) == (cache.entries, None, ""), damaged
@@ -403,7 +406,9 @@ def test_gencache_takes_only_digests_as_hexdigest_writes_them():
         assert GenCache.from_text(f"X.oo {bad} {digest}\n").entries == {}, bad
         assert GenCache.from_text(f"X.oo {digest} {bad}\n").entries == {}, bad
         for run_line in (
-            f"run {bad} 3 {digest}", f"run {digest} 3 {bad}", f"run {digest} 3 {digest} {bad}"
+            f"run {bad} 3 {digest} {digest}",
+            f"run {digest} 3 {bad} {digest}",
+            f"run {digest} 3 {digest} {bad}",
         ):
             parsed = GenCache.from_text(run_line + "\n")
             assert (parsed.run, parsed.trace, parsed.stat) == (None, "", ""), run_line
@@ -418,10 +423,11 @@ def test_the_run_line_carries_the_stat_digest_as_a_fifth_field():
     again = GenCache.from_text(cache.to_text())
     assert (again.entries, again.trace, again.run) == (entries, trace, (digest, 12))
     assert again.stat == stat
-    # A map written before the field existed is read as one without a stat digest.
+    # A run line of four fields, as written before the stat digest existed, is
+    # not read: the map has no run line, and the next run goes through the engine.
     older = GenCache.from_text(f"A.oo {digest} {digest}\nrun {digest} 12 {trace}\n")
-    assert (older.entries, older.trace, older.run, older.stat) == (entries, trace, (digest, 12), "")
-    assert older.to_text() == f"A.oo {digest} {digest}\nrun {digest} 12 {trace}\n"
+    assert (older.entries, older.trace, older.run, older.stat) == (entries, "", None, "")
+    assert older.to_text() == f"A.oo {digest} {digest}\n"
 
 
 # ---------------------------------------------------------------------------

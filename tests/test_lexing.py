@@ -189,9 +189,11 @@ def _opcodes(node):
 def test_master_patterns_compile_on_python_3_10():
     # Possessive quantifiers and atomic groups need Python 3.11; genline
     # supports 3.10, where such a pattern fails to compile. This holds for
-    # the tokenizer's patterns and for the syntax check's own two.
+    # the tokenizer's patterns, the syntax check's own two and the CDL
+    # parser's.
     newer = {re._constants.POSSESSIVE_REPEAT, re._constants.ATOMIC_GROUP}
     patterns = [_master(puncts, is_vsp) for puncts, is_vsp in _LEXICONS]
-    for pattern in patterns + [ootl._UNIT, ootl._NAME]:
+    cdl = [classdiagram._HEAD, classdiagram._DECL, classdiagram._MEMBER, classdiagram._WORD]
+    for pattern in patterns + [ootl._UNIT, ootl._NAME] + cdl:
         parsed = re._parser.parse(pattern.pattern, pattern.flags)
         assert not newer & set(_opcodes(parsed)), pattern.pattern
