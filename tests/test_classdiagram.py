@@ -359,6 +359,7 @@ _SOUP = [
 
 @st.composite
 def _rendered(draw, tokens, separators=_BLANKS):
+    """Tokens, each after a separator drawn from ``separators``, and one more at the end."""
     tokens = draw(tokens)
     seps = draw(st.lists(st.sampled_from(separators), min_size=len(tokens), max_size=len(tokens)))
     return "".join(sep + tok for sep, tok in zip(seps, tokens)) + draw(st.sampled_from(["", *separators]))
