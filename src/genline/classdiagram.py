@@ -30,14 +30,13 @@ error keeps the parser's message, line and column:
    constants. Their lines and columns come from the match offsets, with a
    line index that only moves forward through the text.
 
-The parser gets a model the patterns leave a gap in, and one that repeats
-an attribute or an enum constant, which it reports. A gap is left by an
-error, by any character the tokenizer refuses, and by a ``//`` comment: the
-patterns hold no ``/``, and the parser skips the comment. For any other
-model the patterns build the parser's AST, positions included. In each
-repeated part of a pattern, every blank run lies between two tokens, so a
-failed match backtracks over each character a bounded number of times and
-takes time linear in the text.
+The parser gets a model with a ``//`` comment, which it skips, one the
+patterns leave a gap in (an error, or any character the tokenizer refuses),
+and one that repeats an attribute or an enum constant, which it reports.
+For any other model the patterns build the parser's AST, positions
+included. In each repeated part of a pattern, every blank run lies between
+two tokens, so a failed match backtracks over each character a bounded
+number of times and takes time linear in the text.
 
 Context conditions are well-formedness predicates over a parsed diagram. The
 core set (CC-01 .. CC-05) is always active; front-end components may contribute
@@ -180,7 +179,8 @@ def parse_class_diagram(source: str) -> ClassDiagram:
     The patterns decide a valid model; the parser runs for one with an
     error, a comment or a repeated name, and raises its ``TextSyntaxError``.
     """
-    diagram = _match_diagram(source)
+    # A comment leaves a gap at its first ``/``; skip the patterns' work up to it.
+    diagram = None if "//" in source else _match_diagram(source)
     return _parse(source) if diagram is None else diagram
 
 

@@ -405,6 +405,17 @@ def test_the_covering_diagram_and_the_sample_never_reach_the_parser():
             assert parse_class_diagram(text) == expected
 
 
+def test_a_model_with_a_comment_goes_straight_to_the_parser(monkeypatch):
+    # The patterns would read the model up to the comment and fail there, so
+    # they are not run at all: a commented model is read once, as before.
+    def refuse(text):
+        raise AssertionError("the patterns ran on a model with a comment")
+
+    expected = covering_diagram()
+    monkeypatch.setattr(classdiagram, "_match_diagram", refuse)
+    assert parse_class_diagram(COVERING_CDL + "// note\n") == expected
+
+
 # Every token kind, and characters the tokenizer refuses.
 _VOCABULARY = [*sorted(classdiagram._RESERVED), "x", *classdiagram._PUNCTS, "1", "é", "\x0c", "/"]
 
