@@ -120,32 +120,68 @@ class Fact:
 class Blackboard:
     """Shared fact store for one generation run.
 
-    ``facts`` keeps publication order; every lookup goes through one index,
-    topic -> subject -> producer -> fact.
+    A board built with ``read`` indexes only the facts of those topics, and a
+    query of any other topic raises BlackboardError. The engine's board reads
+    the topics that some composed component consumes, and the two that the
+    hook gate reads. A fact of another topic is checked like any other (its
+    topic, its producer, a repeat with another payload) and counted in
+    ``count``, which the ``facts:`` line reports, but no ``Fact`` is made of
+    it. A board built without ``read`` keeps every topic.
+
+    ``facts`` holds the kept facts in publication order; every lookup goes
+    through one index, topic -> subject -> producer -> fact.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, read: Iterable[str] | None = None) -> None:
         self.facts: list[Fact] = []
+        self._read = None if read is None else frozenset(read)
         self._index: dict[str, dict[str, dict[str, Fact]]] = {}
+        # (topic, producer, subject) -> payload of each fact of an unread topic
+        self._unread: dict[tuple[str, str, str], tuple[tuple[str, str], ...]] = {}
+
+    @property
+    def count(self) -> int:
+        """The number of distinct facts published, kept or not."""
+        return len(self.facts) + len(self._unread)
 
     def publish(self, fact: Fact, producer: GeneratorComponent | None = None) -> None:
-        if fact.topic not in FACT_TOPICS:
-            raise BlackboardError(f"fact topic {fact.topic!r} is outside the ontology")
-        if producer is not None and fact.topic not in producer.interface.produces:
+        self.add(fact.topic, fact.producer, fact.subject, fact.payload, producer)
+
+    def add(
+        self,
+        topic: str,
+        producer_id: str,
+        subject: str,
+        payload: tuple[tuple[str, str], ...] = (),
+        producer: GeneratorComponent | None = None,
+    ) -> None:
+        """Publish the fact of these parts, ``payload`` sorted as ``Fact.make`` sorts it.
+
+        ``producer``, if given, must declare producing ``topic``. A repeat of
+        a fact is dropped; one with another payload raises.
+        """
+        if topic not in FACT_TOPICS:
+            raise BlackboardError(f"fact topic {topic!r} is outside the ontology")
+        if producer is not None and topic not in producer.interface.produces:
             raise BlackboardError(
-                f"component {producer.id!r} does not declare producing {fact.topic!r}"
+                f"component {producer.id!r} does not declare producing {topic!r}"
             )
-        by_producer = self._index.setdefault(fact.topic, {}).setdefault(fact.subject, {})
-        existing = by_producer.get(fact.producer)
-        if existing is not None:
-            if existing.payload != fact.payload:
-                key = (fact.topic, fact.producer, fact.subject)
-                raise BlackboardError(
-                    f"conflicting facts for {key}: {existing.payload!r} vs {fact.payload!r}"
-                )
-            return
-        by_producer[fact.producer] = fact
-        self.facts.append(fact)
+        key = (topic, producer_id, subject)
+        if self._read is None or topic in self._read:
+            by_producer = self._index.setdefault(topic, {}).setdefault(subject, {})
+            if producer_id not in by_producer:
+                fact = Fact(topic, producer_id, subject, payload)
+                by_producer[producer_id] = fact
+                self.facts.append(fact)
+                return
+            existing = by_producer[producer_id].payload
+        else:
+            if key not in self._unread:
+                self._unread[key] = payload
+                return
+            existing = self._unread[key]
+        if existing != payload:
+            raise BlackboardError(f"conflicting facts for {key}: {existing!r} vs {payload!r}")
 
     def query(
         self,
@@ -159,11 +195,13 @@ class Blackboard:
             raise BlackboardError(
                 f"component {consumer.id!r} does not declare consuming {topic!r}"
             )
+        if self._read is not None and topic not in self._read:
+            raise BlackboardError(f"fact topic {topic!r} is not read in this run, so not kept")
         by_subject = self._index.get(topic, {})
         found: list[Fact] = []
         for s in sorted(by_subject) if subject is None else (subject,):
             by_producer = by_subject.get(s, {})
-            found.extend(by_producer[p] for p in sorted(by_producer))
+            found += map(by_producer.__getitem__, sorted(by_producer))
         return tuple(found)
 
 
@@ -178,33 +216,64 @@ class TraceRegion:
     component: str
 
 
+# Each features tuple passed to ``append``, as given, to its normal form.
+_FEATURE_SETS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def _feature_set(features: Iterable[str]) -> tuple[str, ...]:
+    """``features`` sorted and without repeats, or ("core",) when empty."""
+    return tuple(sorted(set(features))) or (CORE_FEATURE,)
+
+
 class ArtifactContainer:
-    """In-memory buffer for one output artifact, built region by region."""
+    """In-memory buffer for one output artifact, built region by region.
+
+    ``append`` extends the open region, the last one, while the features stay
+    the same; a ``TraceRegion`` is made for it only when the features change
+    or ``regions`` is read. A features tuple is normalised once per process.
+    """
 
     def __init__(self, path: str, component: str):
         self.path = path
         self.component = component
-        self.regions: list[TraceRegion] = []
+        self._closed: list[TraceRegion] = []  # the regions before the open one
+        self._start = self._end = 0  # the open region's lines; _end is the last line
+        self._features: tuple[str, ...] | None = None  # None before the first append
         self._content = ""
 
     def append(self, text: str, features: Iterable[str] = ()) -> None:
         """Add whole lines attributed to the given features (default "core")."""
-        if not text.endswith("\n"):
+        if text[-1:] != "\n":
             raise ValueError(f"region text must end with a newline: {text!r}")
-        feats = tuple(sorted(set(features))) or (CORE_FEATURE,)
-        start = self.regions[-1].end + 1 if self.regions else 1
-        end = start + text.count("\n") - 1
-        self._content += text
-        if self.regions and self.regions[-1].features == feats:
-            self.regions[-1] = TraceRegion(self.regions[-1].start, end, feats, self.component)
+        if type(features) is tuple:
+            try:
+                feats = _FEATURE_SETS[features]
+            except KeyError:
+                feats = _FEATURE_SETS[features] = _feature_set(features)
         else:
-            self.regions.append(TraceRegion(start, end, feats, self.component))
+            feats = _feature_set(features)
+        if feats != self._features:
+            if self._features is not None:
+                self._closed.append(
+                    TraceRegion(self._start, self._end, self._features, self.component)
+                )
+            self._start = self._end + 1
+            self._features = feats
+        self._end += text.count("\n") if "\n" in text[:-1] else 1
+        self._content += text
+
+    @property
+    def regions(self) -> list[TraceRegion]:
+        """The line regions so far, in order; adjacent lines of equal features share one."""
+        if self._features is None:
+            return []
+        return [*self._closed, TraceRegion(self._start, self._end, self._features, self.component)]
 
     def content(self) -> str:
         return self._content
 
     def line_count(self) -> int:
-        return self.regions[-1].end if self.regions else 0
+        return self._end
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +575,7 @@ class GenContext:
             self._claimed_folders.update(folders)
         subjects = None if fact_subjects is None else tuple(sorted(set(fact_subjects)))
         self.claim_meta[path] = _ClaimMeta(component, element_key, subjects, build)
-        self.board.publish(Fact.make("artifact.claimed", component.id, path))
+        self.board.add("artifact.claimed", component.id, path)
 
     def publish(
         self,
@@ -516,7 +585,8 @@ class GenContext:
         payload: Mapping[str, str] | None = None,
     ) -> None:
         self._require_phase("declare", "publish")
-        self.board.publish(Fact.make(topic, component.id, subject, payload), producer=component)
+        items = tuple(sorted(payload.items())) if payload else ()
+        self.board.add(topic, component.id, subject, items, component)
 
     # -- declare phase and builders --------------------------------------------
 
@@ -685,7 +755,11 @@ def _run_engine(
 ) -> tuple[GenerationReport, GenCache]:
     bindings = check_bindings(spec, composed.components)
     steps = schedule(composed, spec, bindings)
-    board = Blackboard()
+    # resolve_hooks reads the hook topics; no reader asks for any other topic.
+    read = {"hook.provided", "hook.required"}.union(
+        *(comp.interface.consumes for comp in composed.components)
+    )
+    board = Blackboard(read)
     ctx = GenContext(diagram, spec, bindings, board)
     out = os.path.realpath(spec.output_path)
     keys: dict[str, str] = {}
@@ -715,7 +789,7 @@ def _run_engine(
             report = GenerationReport(
                 written=(),
                 skipped_cache_hits=(),
-                facts_count=len(board.facts),
+                facts_count=board.count,
                 violations=ValidationReport(violations),
                 trace=TraceIndex({}),
                 failed_stage=stage,
@@ -747,7 +821,7 @@ def _run_engine(
     report = GenerationReport(
         written=tuple(sorted(ctx.containers)),
         skipped_cache_hits=tuple(sorted(hits)),
-        facts_count=len(board.facts),
+        facts_count=board.count,
         violations=ValidationReport(),
         trace=trace,
     )

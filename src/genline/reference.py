@@ -328,11 +328,12 @@ def _builder_declare(ctx: GenContext, comp: GeneratorComponent) -> None:
     for cls in ctx.diagram.classes():
         if "nobuilder" in cls.tags or not ctx.facts(comp, "type.generated", cls.name):
             continue
+        # Their producers rank earlier in the declare phase: these are the build-time facts.
+        constructors = ctx.facts(comp, "constructor.generated", cls.name)
         ctx.claim(
             comp, f"{cls.name}Builder.oo", f"{ctx.diagram.name}/{canonical_type_text(cls)}",
-            lambda cls=cls: builder_emit(
-                ctx.diagram.name, cls, ctx.facts(comp, "constructor.generated", cls.name),
-                options, vps,
+            lambda cls=cls, constructors=constructors: builder_emit(
+                ctx.diagram.name, cls, constructors, options, vps
             ),
             fact_subjects=(cls.name,),
         )
@@ -402,14 +403,13 @@ def factory_emit(
 
 
 def _factory_declare(ctx: GenContext, comp: GeneratorComponent) -> None:
-    classes = _factory_classes(ctx.facts(comp, "type.generated"))
+    types = ctx.facts(comp, "type.generated")
+    classes = _factory_classes(types)
     vps = ctx.vps(comp)
     pattern = vps["factory_method_prefix"]
     ctx.claim(
         comp, f"{ctx.diagram.name}Factory.oo", f"{ctx.diagram.name}/factory",
-        lambda: factory_emit(
-            ctx.diagram, ctx.facts(comp, "type.generated"), ctx.options(comp), vps, ctx.mode
-        ),
+        lambda: factory_emit(ctx.diagram, types, ctx.options(comp), vps, ctx.mode),
     )
     for name, _ in classes:
         method = pattern.replace("%s", name)

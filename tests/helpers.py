@@ -271,3 +271,18 @@ def parser_never_runs(module: ModuleType = ootl) -> Iterator[None]:
 
     with mock.patch.object(module, "tokenize", refuse), mock.patch.object(module, "TokenStream", refuse):
         yield
+
+
+@contextmanager
+def instances_built(cls: type) -> Iterator[list]:
+    """Within it, every instance of ``cls`` whose ``__init__`` runs is added to
+    the list it yields, in the order they are built."""
+    built: list = []
+    init = cls.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    with mock.patch.object(cls, "__init__", spy):
+        yield built

@@ -7,17 +7,25 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genline.classdiagram import ClassDiagram, canonical_type_text, parse_class_diagram
-from genline.components import Behavior, ComponentInterface, GeneratorComponent, check_bindings
+from genline.components import (
+    FACT_TOPICS,
+    Behavior,
+    ComponentInterface,
+    GeneratorComponent,
+    check_bindings,
+)
 from genline.composition import compose_all
 from genline import generation, ootl
 from genline.formula import TRUE
 from genline.generation import (
+    CORE_FEATURE,
     GEN_CLAIM,
     GEN_HOOK,
     GEN_SYNTAX,
@@ -40,7 +48,16 @@ from genline.generation import (
     unchanged_run,
 )
 
-from helpers import compose_reference, make_spec, read_tree, refused_artifact_path
+from helpers import (
+    ALL_FEATURES,
+    compose_reference,
+    covering_diagram,
+    instances_built,
+    make_spec,
+    read_tree,
+    refused_artifact_path,
+    restrict_diagram,
+)
 
 FULL_GEN = ("CD2Java", "Types", "Class", "DefaultConstructor", "Builder", "Factory")
 
@@ -160,6 +177,69 @@ def test_blackboard_duplicate_facts():
         board.publish(Fact.make("type.generated", "C", "A", {"kind": "enum"}))
 
 
+_BOARD_TOPICS = tuple(sorted(FACT_TOPICS))
+_PAYLOADS = ({}, {"kind": "class"}, {"kind": "enum", "tags": ""})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from((*_BOARD_TOPICS, "weather.today")),
+            st.sampled_from(_PRODUCERS),
+            st.sampled_from(_SUBJECTS),
+            st.sampled_from(_PAYLOADS),
+            st.none() | st.frozensets(st.sampled_from(_BOARD_TOPICS)),  # the producer's produces
+            st.booleans(),  # publish a Fact, or add its parts
+        ),
+        max_size=40,
+    ),
+    st.frozensets(st.sampled_from(_BOARD_TOPICS)),
+)
+def test_a_board_that_keeps_only_read_topics_answers_as_one_that_keeps_all(ops, read):
+    board, everything = Blackboard(read), Blackboard()
+
+    def outcome(target, topic, producer_id, subject, payload, produces, whole):
+        producer = None if produces is None else _mk(producer_id, produces=produces)
+        try:
+            if whole:
+                target.publish(Fact.make(topic, producer_id, subject, payload), producer)
+            else:
+                target.add(topic, producer_id, subject, tuple(sorted(payload.items())), producer)
+        except BlackboardError as exc:
+            return str(exc)
+        return None
+
+    for op in ops:
+        # The ontology, producer and conflict errors are the same on every topic.
+        assert outcome(board, *op) == outcome(everything, *op)
+    assert board.count == everything.count
+    assert board.facts == [f for f in everything.facts if f.topic in read]
+    for topic in _BOARD_TOPICS:
+        if topic in read:
+            assert board.query(topic) == everything.query(topic)
+            for subject in _SUBJECTS:
+                assert board.query(topic, subject) == everything.query(topic, subject)
+        else:
+            with pytest.raises(BlackboardError, match=f"{topic!r} is not read"):
+                board.query(topic, _SUBJECTS[0])
+    with pytest.raises(BlackboardError, match="outside the ontology"):
+        board.query("weather.today")
+
+
+def test_an_unread_fact_is_counted_and_checked_but_not_kept():
+    board = Blackboard({"type.generated"})
+    board.add("method.generated", "C", "A.f")
+    board.add("method.generated", "C", "A.f")  # a repeat is dropped
+    board.publish(Fact.make("type.generated", "C", "A"))
+    assert board.count == 2
+    assert board.facts == [Fact.make("type.generated", "C", "A")]
+    with pytest.raises(BlackboardError, match="conflicting facts"):
+        board.add("method.generated", "C", "A.f", (("kind", "static"),))
+    with pytest.raises(BlackboardError, match="'method.generated' is not read"):
+        board.query("method.generated")
+
+
 def _declaring(*components: GeneratorComponent) -> GenContext:
     """A fresh run's context in the declare phase, for components without options."""
     spec = make_spec(("CD2Java",), "out")
@@ -272,6 +352,99 @@ def test_container_defaults_and_validation():
     assert container.regions[1].features == ("A", "B")
     with pytest.raises(ValueError, match="end with a newline"):
         container.append("no newline")
+
+
+class _OracleContainer:
+    """The container's regions as ``ArtifactContainer.append`` kept them when it
+    built a ``TraceRegion`` for every call."""
+
+    def __init__(self, component: str):
+        self.component = component
+        self.regions: list[TraceRegion] = []
+        self._content = ""
+
+    def append(self, text, features=()):
+        if not text.endswith("\n"):
+            raise ValueError(f"region text must end with a newline: {text!r}")
+        feats = tuple(sorted(set(features))) or (CORE_FEATURE,)
+        start = self.regions[-1].end + 1 if self.regions else 1
+        end = start + text.count("\n") - 1
+        self._content += text
+        if self.regions and self.regions[-1].features == feats:
+            self.regions[-1] = TraceRegion(self.regions[-1].start, end, feats, self.component)
+        else:
+            self.regions.append(TraceRegion(start, end, feats, self.component))
+
+    def content(self):
+        return self._content
+
+    def line_count(self):
+        return self.regions[-1].end if self.regions else 0
+
+
+_FEATURE_KINDS = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda names: (name for name in names),
+    "frozenset": frozenset,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.text(st.characters(blacklist_characters="\n"), max_size=4), min_size=1, max_size=3),
+            st.booleans(),  # the last line lacks its newline
+            st.sampled_from(sorted(_FEATURE_KINDS)),
+            st.lists(st.sampled_from(("B", "A", "core", "Class")), max_size=4),
+            st.booleans(),  # read the regions after this call
+        ),
+        max_size=25,
+    )
+)
+def test_container_regions_match_one_region_per_call(calls):
+    container, oracle = ArtifactContainer("A.oo", "C"), _OracleContainer("C")
+
+    def state(c):
+        return c.regions, c.content(), c.line_count()
+
+    for lines, cut, kind, names, peek in calls:
+        text = "".join(line + "\n" for line in lines)
+        if cut:
+            text = text.rstrip("\n")
+            before = state(container)
+            with pytest.raises(ValueError, match="end with a newline"):
+                oracle.append(text, _FEATURE_KINDS[kind](names))
+            with pytest.raises(ValueError, match="end with a newline"):
+                container.append(text, _FEATURE_KINDS[kind](names))
+            assert state(container) == before
+            continue
+        oracle.append(text, _FEATURE_KINDS[kind](names))
+        container.append(text, _FEATURE_KINDS[kind](names))
+        if peek:
+            assert state(container) == state(oracle)
+    assert state(container) == state(oracle)
+
+
+def test_a_reference_generate_builds_no_unread_fact_and_no_spare_region(tmp_path):
+    selected = frozenset(ALL_FEATURES)
+    diagram = restrict_diagram(covering_diagram(), selected, "hybrid")
+    spec = make_spec(selected, tmp_path / "read", "hybrid")
+    with instances_built(Fact) as facts, instances_built(TraceRegion) as regions:
+        report = generate(compose_reference(selected), diagram, spec)
+    assert report.ok, report.violations
+    topics = {fact.topic for fact in facts}
+    assert topics == {"type.generated", "constructor.generated", "hook.provided", "hook.required"}
+    trace = (tmp_path / "read" / TRACE_FILE).read_text()
+    assert 0 < len(regions) <= trace.count("\n")
+    # A board that keeps every topic counts the same facts and writes the same bytes.
+    spec_all = make_spec(selected, tmp_path / "all", "hybrid")
+    with mock.patch.object(generation, "Blackboard", lambda read: Blackboard()):
+        report_all = generate(compose_reference(selected), diagram, spec_all)
+    # The claims and methods are counted, though no Fact is made of them.
+    assert report_all.facts_count == report.facts_count > len(facts)
+    assert read_tree(tmp_path / "all") == read_tree(tmp_path / "read")
 
 
 def test_syntax_gate_reports_the_position_check_unit_finds(tmp_path):

@@ -186,6 +186,19 @@ def test_all_emitters_produce_valid_units(tmp_path):
             assert ootl.check_unit(text) is None, path
 
 
+def test_a_builder_without_a_constructor_fact_stops_the_run(tmp_path):
+    with pytest.raises(EngineError, match="needs a constructor.generated fact"):
+        builder_emit("Shop", _person(), (), {}, {})
+    # Without DefaultConstructor no constructor fact is published; composition
+    # validation would refuse the variant, so call the engine straight.
+    selected = frozenset({"CD2Java", "Types", "Class", "Builder"})
+    diagram = restrict_diagram(covering_diagram(), selected, "generation_time")
+    spec = make_spec(selected, tmp_path / "out")
+    with pytest.raises(EngineError, match="builder for 'Person' needs a constructor.generated fact"):
+        generate(compose_reference(selected), diagram, spec)
+    assert not (tmp_path / "out").exists()
+
+
 def test_builder_emit_golden():
     text = builder_emit("Shop", _person(), _ctor_fact(), {}, {}).content()
     assert text == (
