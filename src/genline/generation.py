@@ -603,6 +603,9 @@ class GenContext:
 # ---------------------------------------------------------------------------
 # Hook resolution
 
+_HOOK_TOPICS = frozenset({"hook.provided", "hook.required"})  # the topics resolve_hooks reads
+
+
 def resolve_hooks(board: Blackboard, mode: str) -> ValidationReport:
     """Match hook.required facts against hook.provided subjects.
 
@@ -755,11 +758,10 @@ def _run_engine(
 ) -> tuple[GenerationReport, GenCache]:
     bindings = check_bindings(spec, composed.components)
     steps = schedule(composed, spec, bindings)
-    # resolve_hooks reads the hook topics; no reader asks for any other topic.
-    read = {"hook.provided", "hook.required"}.union(
-        *(comp.interface.consumes for comp in composed.components)
+    # No reader but the composed components and resolve_hooks asks the board.
+    board = Blackboard(
+        _HOOK_TOPICS.union(*(comp.interface.consumes for comp in composed.components))
     )
-    board = Blackboard(read)
     ctx = GenContext(diagram, spec, bindings, board)
     out = os.path.realpath(spec.output_path)
     keys: dict[str, str] = {}

@@ -394,7 +394,7 @@ _FEATURE_KINDS = {
 @given(
     st.lists(
         st.tuples(
-            st.lists(st.text(st.characters(blacklist_characters="\n"), max_size=4), min_size=1, max_size=3),
+            st.lists(st.text(st.characters(exclude_characters="\n"), max_size=4), min_size=1, max_size=3),
             st.booleans(),  # the last line lacks its newline
             st.sampled_from(sorted(_FEATURE_KINDS)),
             st.lists(st.sampled_from(("B", "A", "core", "Class")), max_size=4),
