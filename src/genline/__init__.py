@@ -18,7 +18,6 @@ from .classdiagram import (
     InterfaceDecl,
     Operation,
     SymbolTable,
-    canonical_type_text,
     check_context_conditions,
     core_conditions,
     parse_class_diagram,
@@ -127,7 +126,6 @@ __all__ = [
     "Violation",
     "build_reference_registry",
     "build_registry",
-    "canonical_type_text",
     "check_bindings",
     "check_context_conditions",
     "compose",

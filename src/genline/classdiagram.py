@@ -361,23 +361,6 @@ def _parse_enum(ts: TokenStream) -> EnumDecl:
     )
 
 
-def canonical_type_text(decl: TypeDecl) -> str:
-    """Stable one-line rendering of a declaration, used for cache keys."""
-    if isinstance(decl, ClassDecl):
-        parts = [f"<<{t}>>" for t in decl.tags]
-        parts.append(f"class {decl.name}")
-        if decl.superclass:
-            parts.append(f"extends {decl.superclass}")
-        if decl.interfaces:
-            parts.append("implements " + ",".join(decl.interfaces))
-        body = ";".join(f"{a.name}:{a.type_name}" for a in decl.attributes)
-        return " ".join(parts) + "{" + body + "}"
-    if isinstance(decl, InterfaceDecl):
-        body = ";".join(f"{o.name}():{o.return_type}" for o in decl.operations)
-        return f"interface {decl.name}{{{body}}}"
-    return f"enum {decl.name}{{{','.join(decl.constants)}}}"
-
-
 # ---------------------------------------------------------------------------
 # Symbol table
 

@@ -7,8 +7,9 @@ container. The engine then calls the builder of every claim whose cached
 output cannot be reused, and of no other. Nothing touches the filesystem until every built
 container has passed syntax validation and every required hook is resolved;
 then all files are written in one atomic stage-and-swap. Incremental runs
-reuse artifacts whose cache key (input element, component, options, consumed
-facts) is unchanged, with outputs byte-identical to a cold run. Every run,
+reuse artifacts whose cache key (the claiming component's ``id@version`` and
+the arguments its builder is called with) is unchanged, with outputs
+byte-identical to a cold run. Every run,
 incremental or not, writes only the files whose bytes changed: a cache hit,
 or a file already on disk with the same bytes, is hard-linked into the stage,
 never rewritten, and a run that changes nothing leaves the output directory
@@ -488,9 +489,23 @@ class GenerationReport:
 @dataclass
 class _ClaimMeta:
     component: GeneratorComponent
-    element_key: str
-    fact_subjects: tuple[str, ...] | None  # None = all consumed facts matter
-    build: Callable[[], ArtifactContainer]
+    build: Callable[..., ArtifactContainer]
+    args: tuple  # plain data (see ``_plain``), the cache key's material
+
+
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
+def _plain(value: object) -> bool:
+    """Whether ``value`` is a str, int, bool or None, or a tuple of such values
+    nested to any depth; the repr of such a value is the same in every process."""
+    pending = [value]
+    for item in pending:  # a tuple's items join the list as it is walked
+        if type(item) is tuple:
+            pending += item
+        elif type(item) not in _PLAIN:
+            return False
+    return True
 
 
 class GenContext:
@@ -530,11 +545,19 @@ class GenContext:
         self,
         component: GeneratorComponent,
         path: str,
-        element_key: str,
-        build: Callable[[], ArtifactContainer],
-        fact_subjects: Iterable[str] | None = None,
+        build: Callable[..., ArtifactContainer],
+        *args: object,
     ) -> None:
-        """Claim ``path``; the engine calls ``build()`` for its container on a cache miss.
+        """Claim ``path``; the engine calls ``build(*args)`` for its container on a cache miss.
+
+        The cache key of the claim is ``component``'s ``id@version`` and
+        ``args``, not ``build`` itself, so a wrapper put in the builder's
+        place (as a profiler puts one) keeps every key: a component at one
+        ``id@version`` is trusted to build the same bytes from the same path
+        and arguments, as the run digest trusts it (see ``run_digest``). So
+        ``args`` must be everything the builder reads, and each must be a
+        str, int, bool or None, or a tuple of these nested to any depth; any
+        other type raises EngineError.
 
         Raises EngineError if the path is absolute, has an empty, "." or ".."
         part or a whitespace character, names one of the engine's own files,
@@ -573,8 +596,12 @@ class GenContext:
                         f"a file of {owner}"
                     )
             self._claimed_folders.update(folders)
-        subjects = None if fact_subjects is None else tuple(sorted(set(fact_subjects)))
-        self.claim_meta[path] = _ClaimMeta(component, element_key, subjects, build)
+        if not _plain(args):
+            raise EngineError(
+                f"component {component.id!r} claims {path!r} with builder arguments that are not "
+                "str, int, bool, None or tuples of these"
+            )
+        self.claim_meta[path] = _ClaimMeta(component, build, args)
         self.board.add("artifact.claimed", component.id, path)
 
     def publish(
@@ -629,29 +656,9 @@ def resolve_hooks(board: Blackboard, mode: str) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Engine
 
-def _cache_key(meta: _ClaimMeta, ctx: GenContext) -> str:
-    comp = meta.component
-    subjects = (None,) if meta.fact_subjects is None else meta.fact_subjects
-    consumed = [
-        f"{fact.topic}|{fact.producer}|{fact.subject}|"
-        + ";".join(f"{k}={v}" for k, v in fact.payload)
-        for topic in sorted(comp.interface.consumes)
-        for subject in subjects
-        for fact in ctx.board.query(topic, subject)
-    ]
-    options = ctx.options(comp)
-    vps = ctx.vps(comp)
-    material = "\n".join(
-        [
-            "element=" + meta.element_key,
-            "component=" + f"{comp.id}@{comp.version}",
-            "mode=" + ctx.mode,
-            "options=" + repr(sorted(options.items())),
-            "vps=" + repr(sorted(vps.items())),
-            "facts=" + repr(consumed),
-        ]
-    )
-    return _digest(material)
+def _cache_key(meta: _ClaimMeta) -> str:
+    """The digest of the claiming component's id and version and its builder's arguments."""
+    return _digest(repr((meta.component.id, meta.component.version, meta.args)))
 
 
 def _lookup_cache(
@@ -668,7 +675,7 @@ def _lookup_cache(
     was written with that content and its line count is not checked either.
     Returns the keys and, per hit, its content digest and trace regions.
     """
-    keys = {path: _cache_key(meta, ctx) for path, meta in ctx.claim_meta.items()}
+    keys = {path: _cache_key(meta) for path, meta in ctx.claim_meta.items()}
     hits: dict[str, tuple[str, tuple[TraceRegion, ...]]] = {}
     if old_trace is None:
         return keys, hits
@@ -741,7 +748,7 @@ def _build(ctx: GenContext, hits: Collection[str]) -> None:
     for path, meta in ctx.claim_meta.items():
         if path in hits:
             continue
-        container = meta.build()
+        container = meta.build(*meta.args)
         if container.path != path or container.component != meta.component.id:
             raise EngineError(
                 f"the builder of {path!r}, claimed by {meta.component.id!r}, returned "

@@ -12,9 +12,12 @@ Five components over the built-in feature model:
   Factory        realizes Factory; builds one factory with a creation method
                  per class, delegating to providers depending on the mode.
 
-A declare behavior claims each artifact with its builder, a call of a public
-``*_artifact`` or ``*_emit`` function that the engine makes only on a cache
-miss. A builder looks that function up in this module when it runs.
+A declare behavior claims each artifact with its builder, a public
+``*_artifact`` or ``*_emit`` function, and the plain values that builder
+reads; the engine calls the builder with those values only on a cache miss,
+and keys the artifact by them. The declare behavior reads the function from
+this module's attributes when it claims, so a wrapper set on the module in
+its place is the one the engine calls.
 
 Feature selection picks components (global variability); each component's
 options and variation points tune its output (local variability). Builder and
@@ -24,17 +27,15 @@ their generated code calls the no-argument constructor.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .classdiagram import (
     ClassDecl,
     ClassDiagram,
     ContextCondition,
-    EnumDecl,
     InterfaceDecl,
     Offense,
     OffenseFn,
-    canonical_type_text,
     core_conditions,
     positioned,
 )
@@ -192,63 +193,76 @@ def _restrict_features(ctx: GenContext, comp: GeneratorComponent) -> None:
 # Types component
 
 def class_artifact(
-    diagram_name: str, cls: ClassDecl, options: Mapping[str, object], vps: Mapping[str, str]
+    diagram_name: str,
+    name: str,
+    superclass: str | None,
+    interfaces: tuple[str, ...],
+    attributes: tuple[tuple[str, str], ...],
+    constructor_body: str | None,
 ) -> ArtifactContainer:
-    container = ArtifactContainer(f"{cls.name}.oo", "Types")
+    """One class; ``attributes`` are (name, type) pairs, and a ``constructor_body``
+    of None generates no default constructor."""
+    container = ArtifactContainer(f"{name}.oo", "Types")
     container.append(f"package {diagram_name};\n", ("Class",))
-    header = f"class {cls.name}"
-    if cls.superclass:
-        header += f" extends {cls.superclass}"
-    if cls.interfaces:
-        header += " implements " + ", ".join(cls.interfaces)
-    header_features = ("Class", "Interface") if cls.interfaces else ("Class",)
+    header = f"class {name}"
+    if superclass:
+        header += f" extends {superclass}"
+    if interfaces:
+        header += " implements " + ", ".join(interfaces)
+    header_features = ("Class", "Interface") if interfaces else ("Class",)
     container.append(header + " {\n", header_features)
-    for attr in cls.attributes:
-        container.append(f"  {attr.type_name} {attr.name};\n", ("Class",))
-    if options["default_constructor"]:
-        body = vps["constructor_body"]
-        container.append(f"  {cls.name}() {{{body} }}\n", ("DefaultConstructor",))
+    for attr_name, type_name in attributes:
+        container.append(f"  {type_name} {attr_name};\n", ("Class",))
+    if constructor_body is not None:
+        container.append(f"  {name}() {{{constructor_body} }}\n", ("DefaultConstructor",))
     container.append("}\n", ("Class",))
     return container
 
 
-def provider_artifact(diagram_name: str, cls: ClassDecl) -> ArtifactContainer:
-    container = ArtifactContainer(f"{cls.name}Provider.oo", "Types")
+def provider_artifact(diagram_name: str, name: str) -> ArtifactContainer:
+    container = ArtifactContainer(f"{name}Provider.oo", "Types")
     container.append(f"package {diagram_name};\n", ("Class",))
-    container.append(f"interface {cls.name}Provider {{\n", ("Class",))
-    container.append(f"  {cls.name} provide();\n", ("Class",))
+    container.append(f"interface {name}Provider {{\n", ("Class",))
+    container.append(f"  {name} provide();\n", ("Class",))
     container.append("}\n", ("Class",))
     return container
 
 
-def enum_artifact(diagram_name: str, decl: EnumDecl) -> ArtifactContainer:
-    container = ArtifactContainer(f"{decl.name}.oo", "Types")
+def enum_artifact(diagram_name: str, name: str, constants: tuple[str, ...]) -> ArtifactContainer:
+    container = ArtifactContainer(f"{name}.oo", "Types")
     container.append(f"package {diagram_name};\n", ("Enum",))
-    container.append(f"enum {decl.name} {{\n", ("Enum",))
-    for index, constant in enumerate(decl.constants):
-        comma = "," if index < len(decl.constants) - 1 else ""
+    container.append(f"enum {name} {{\n", ("Enum",))
+    for index, constant in enumerate(constants):
+        comma = "," if index < len(constants) - 1 else ""
         container.append(f"  {constant}{comma}\n", ("Enum",))
     container.append("}\n", ("Enum",))
     return container
 
 
-def interface_artifact(diagram_name: str, decl: InterfaceDecl) -> ArtifactContainer:
-    container = ArtifactContainer(f"{decl.name}.oo", "Types")
+def interface_artifact(
+    diagram_name: str, name: str, operations: tuple[tuple[str, str], ...]
+) -> ArtifactContainer:
+    """One interface; ``operations`` are (name, return type) pairs."""
+    container = ArtifactContainer(f"{name}.oo", "Types")
     container.append(f"package {diagram_name};\n", ("Interface",))
-    container.append(f"interface {decl.name} {{\n", ("Interface",))
-    for op in decl.operations:
-        container.append(f"  {op.return_type} {op.name}();\n", ("Interface",))
+    container.append(f"interface {name} {{\n", ("Interface",))
+    for op_name, return_type in operations:
+        container.append(f"  {return_type} {op_name}();\n", ("Interface",))
     container.append("}\n", ("Interface",))
     return container
 
 
+def _attributes(cls: ClassDecl) -> tuple[tuple[str, str], ...]:
+    return tuple([(attr.name, attr.type_name) for attr in cls.attributes])
+
+
 def _types_declare_classes(ctx: GenContext, comp: GeneratorComponent) -> None:
     options = ctx.options(comp)
-    vps = ctx.vps(comp)
+    body = ctx.vps(comp)["constructor_body"] if options["default_constructor"] else None
     for cls in ctx.diagram.classes():
         ctx.claim(
-            comp, f"{cls.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(cls)}",
-            lambda cls=cls: class_artifact(ctx.diagram.name, cls, options, vps),
+            comp, f"{cls.name}.oo", class_artifact, ctx.diagram.name,
+            cls.name, cls.superclass, cls.interfaces, _attributes(cls), body,
         )
         ctx.publish(
             comp,
@@ -263,17 +277,18 @@ def _types_declare_classes(ctx: GenContext, comp: GeneratorComponent) -> None:
 def _types_declare_enums(ctx: GenContext, comp: GeneratorComponent) -> None:
     for decl in ctx.diagram.enums():
         ctx.claim(
-            comp, f"{decl.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(decl)}",
-            lambda decl=decl: enum_artifact(ctx.diagram.name, decl),
+            comp, f"{decl.name}.oo", enum_artifact, ctx.diagram.name, decl.name, decl.constants
         )
         ctx.publish(comp, "type.generated", decl.name, {"kind": "enum", "tags": ""})
 
 
 def _types_declare_interfaces(ctx: GenContext, comp: GeneratorComponent) -> None:
+    # An enum claims the same path with as many arguments; its keys differ from
+    # an interface's because constants are strings, at least one, and operations pairs.
     for decl in ctx.diagram.interfaces():
+        operations = tuple([(op.name, op.return_type) for op in decl.operations])
         ctx.claim(
-            comp, f"{decl.name}.oo", f"{ctx.diagram.name}/{canonical_type_text(decl)}",
-            lambda decl=decl: interface_artifact(ctx.diagram.name, decl),
+            comp, f"{decl.name}.oo", interface_artifact, ctx.diagram.name, decl.name, operations
         )
         ctx.publish(comp, "type.generated", decl.name, {"kind": "interface", "tags": ""})
 
@@ -283,8 +298,7 @@ def _types_declare_providers(ctx: GenContext, comp: GeneratorComponent) -> None:
         return
     for cls in ctx.diagram.classes():
         ctx.claim(
-            comp, f"{cls.name}Provider.oo", f"{ctx.diagram.name}/provider/{cls.name}",
-            lambda cls=cls: provider_artifact(ctx.diagram.name, cls),
+            comp, f"{cls.name}Provider.oo", provider_artifact, ctx.diagram.name, cls.name
         )
         ctx.publish(comp, "hook.provided", f"{cls.name}Provider")
 
@@ -293,49 +307,41 @@ def _types_declare_providers(ctx: GenContext, comp: GeneratorComponent) -> None:
 # Builder component
 
 def builder_emit(
-    diagram_name: str,
-    cls: ClassDecl,
-    facts: tuple[Fact, ...],
-    options: Mapping[str, object],
-    vps: Mapping[str, str],
+    diagram_name: str, name: str, attributes: tuple[tuple[str, str], ...], constructed: bool
 ) -> ArtifactContainer:
-    """The fluent builder for one class; ``facts`` carry its constructor fact."""
-    if not any(f.topic == "constructor.generated" and f.subject == cls.name for f in facts):
+    """The fluent builder for one class; ``constructed`` tells whether a
+    constructor.generated fact was published for it."""
+    if not constructed:
         raise EngineError(
-            f"builder for {cls.name!r} needs a constructor.generated fact; "
+            f"builder for {name!r} needs a constructor.generated fact; "
             "the Builder constraint should have prevented this"
         )
     features = ("Builder",)
-    container = ArtifactContainer(f"{cls.name}Builder.oo", "Builder")
+    container = ArtifactContainer(f"{name}Builder.oo", "Builder")
     container.append(f"package {diagram_name};\n", features)
-    container.append(f"class {cls.name}Builder {{\n", features)
-    container.append(f"  {cls.name} result;\n", features)
-    container.append(f"  {cls.name}Builder() {{ result = new {cls.name}(); }}\n", features)
-    for attr in cls.attributes:
+    container.append(f"class {name}Builder {{\n", features)
+    container.append(f"  {name} result;\n", features)
+    container.append(f"  {name}Builder() {{ result = new {name}(); }}\n", features)
+    for attr_name, type_name in attributes:
         container.append(
-            f"  {cls.name}Builder with{_upper_first(attr.name)}({attr.type_name} v) "
-            f"{{ result.{attr.name} = v; return this; }}\n",
+            f"  {name}Builder with{_upper_first(attr_name)}({type_name} v) "
+            f"{{ result.{attr_name} = v; return this; }}\n",
             features,
         )
-    container.append(f"  {cls.name} build() {{ return result; }}\n", features)
+    container.append(f"  {name} build() {{ return result; }}\n", features)
     container.append("}\n", features)
     return container
 
 
 def _builder_declare(ctx: GenContext, comp: GeneratorComponent) -> None:
-    options = ctx.options(comp)
-    vps = ctx.vps(comp)
     for cls in ctx.diagram.classes():
         if "nobuilder" in cls.tags or not ctx.facts(comp, "type.generated", cls.name):
             continue
-        # Their producers rank earlier in the declare phase: these are the build-time facts.
-        constructors = ctx.facts(comp, "constructor.generated", cls.name)
+        # Its producer ranks earlier in the declare phase: this is the build-time fact.
+        constructed = bool(ctx.facts(comp, "constructor.generated", cls.name))
         ctx.claim(
-            comp, f"{cls.name}Builder.oo", f"{ctx.diagram.name}/{canonical_type_text(cls)}",
-            lambda cls=cls, constructors=constructors: builder_emit(
-                ctx.diagram.name, cls, constructors, options, vps
-            ),
-            fact_subjects=(cls.name,),
+            comp, f"{cls.name}Builder.oo", builder_emit, ctx.diagram.name,
+            cls.name, _attributes(cls), constructed,
         )
         for attr in cls.attributes:
             ctx.publish(
@@ -354,46 +360,33 @@ def _fact_field(fact: Fact, key: str) -> str:
     return ""
 
 
-def _factory_classes(facts: tuple[Fact, ...]) -> list[tuple[str, frozenset[str]]]:
+def _factory_classes(facts: tuple[Fact, ...], mode: str) -> tuple[tuple[str, bool], ...]:
+    """Each class among the type.generated ``facts``, in their order, paired with
+    whether its factory method delegates to its provider in ``mode``."""
     classes = []
     for fact in facts:
         if fact.topic != "type.generated" or _fact_field(fact, "kind") != "class":
             continue
-        tags = frozenset(t for t in _fact_field(fact, "tags").split(",") if t)
-        classes.append((fact.subject, tags))
-    classes.sort(key=lambda item: item[0])
-    return classes
-
-
-def _delegated(classes: list[tuple[str, frozenset[str]]], mode: str) -> list[str]:
-    if mode == "run_time":
-        return [name for name, _ in classes]
-    if mode == "hybrid":
-        return [name for name, tags in classes if "external" in tags]
-    return []
+        external = "external" in _fact_field(fact, "tags").split(",")
+        classes.append((fact.subject, mode == "run_time" or mode == "hybrid" and external))
+    return tuple(classes)
 
 
 def factory_emit(
-    diagram: ClassDiagram,
-    facts: tuple[Fact, ...],
-    options: Mapping[str, object],
-    vps: Mapping[str, str],
-    mode: str,
+    diagram_name: str, pattern: str, classes: tuple[tuple[str, bool], ...]
 ) -> ArtifactContainer:
-    """One factory class with a creation method per class, alphabetical."""
-    classes = _factory_classes(facts)
-    delegated = set(_delegated(classes, mode))
-    pattern = vps["factory_method_prefix"]
+    """One factory class with a creation method, named by ``pattern``, per class
+    of ``classes``, (name, delegated to its provider) pairs in method order."""
     features = ("Factory",)
-    container = ArtifactContainer(f"{diagram.name}Factory.oo", "Factory")
-    container.append(f"package {diagram.name};\n", features)
-    container.append(f"class {diagram.name}Factory {{\n", features)
-    for name, _ in classes:
-        if name in delegated:
+    container = ArtifactContainer(f"{diagram_name}Factory.oo", "Factory")
+    container.append(f"package {diagram_name};\n", features)
+    container.append(f"class {diagram_name}Factory {{\n", features)
+    for name, delegated in classes:
+        if delegated:
             container.append(f"  {name}Provider {_lower_first(name)}Provider;\n", features)
-    for name, _ in classes:
+    for name, delegated in classes:
         method = pattern.replace("%s", name)
-        if name in delegated:
+        if delegated:
             body = f"return {_lower_first(name)}Provider.provide();"
         else:
             body = f"return new {name}();"
@@ -403,19 +396,18 @@ def factory_emit(
 
 
 def _factory_declare(ctx: GenContext, comp: GeneratorComponent) -> None:
-    types = ctx.facts(comp, "type.generated")
-    classes = _factory_classes(types)
-    vps = ctx.vps(comp)
-    pattern = vps["factory_method_prefix"]
+    # The query answers in subject order, so the methods come alphabetically.
+    classes = _factory_classes(ctx.facts(comp, "type.generated"), ctx.mode)
+    pattern = ctx.vps(comp)["factory_method_prefix"]
     ctx.claim(
-        comp, f"{ctx.diagram.name}Factory.oo", f"{ctx.diagram.name}/factory",
-        lambda: factory_emit(ctx.diagram, types, ctx.options(comp), vps, ctx.mode),
+        comp, f"{ctx.diagram.name}Factory.oo", factory_emit, ctx.diagram.name, pattern, classes
     )
     for name, _ in classes:
         method = pattern.replace("%s", name)
         ctx.publish(comp, "method.generated", f"{ctx.diagram.name}Factory.{method}")
-    for name in _delegated(classes, ctx.mode):
-        ctx.publish(comp, "hook.required", f"{name}Provider")
+    for name, delegated in classes:
+        if delegated:
+            ctx.publish(comp, "hook.required", f"{name}Provider")
 
 
 # ---------------------------------------------------------------------------

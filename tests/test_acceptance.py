@@ -194,7 +194,7 @@ def test_acceptance_4_syntax_gate_keeps_prior_outputs(announce, tmp_path):
 def test_acceptance_5_second_claim_on_same_artifact_refused(announce, tmp_path):
     with announce(5, "a competing claim on Types' artifact names both components, writes nothing"):
         def declare_squat(ctx, comp):
-            ctx.claim(comp, "Person.oo", "squat", lambda: ArtifactContainer("Person.oo", comp.id))
+            ctx.claim(comp, "Person.oo", ArtifactContainer, "Person.oo", comp.id)
 
         squatter = GeneratorComponent(
             id="Squatter",

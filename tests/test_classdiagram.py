@@ -21,7 +21,6 @@ from genline.classdiagram import (
     InterfaceDecl,
     Operation,
     SymbolTable,
-    canonical_type_text,
     check_context_conditions,
     core_conditions,
     parse_class_diagram,
@@ -68,24 +67,6 @@ def test_positions_are_recorded():
     person = diagram.classes()[0]
     assert (person.line, person.column) == (2, 22)
     assert (person.attributes[0].line, person.attributes[0].column) == (3, 5)
-
-
-def test_canonical_type_text_is_stable():
-    diagram = covering_diagram()
-    person, receipt, manager = diagram.classes()
-    assert canonical_type_text(person) == "<<external>> class Person{name:string;age:int}"
-    assert canonical_type_text(receipt) == "<<nobuilder>> class Receipt{total:int}"
-    assert (
-        canonical_type_text(manager)
-        == "class Manager extends Person implements Printable{level:int}"
-    )
-    assert canonical_type_text(diagram.interfaces()[0]) == "interface Printable{print():string}"
-    assert canonical_type_text(diagram.enums()[0]) == "enum Color{RED,GREEN,BLUE}"
-    # Re-parsing yields the same canonical text.
-    again = parse_class_diagram(COVERING_CDL)
-    assert [canonical_type_text(t) for t in again.types] == [
-        canonical_type_text(t) for t in diagram.types
-    ]
 
 
 def test_parse_errors():

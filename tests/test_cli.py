@@ -528,7 +528,7 @@ def test_generate_refuses_a_claim_inside_the_cache_map_before_touching_out(tmp_p
             container.append("package Shop;\nclass X {\n}\n")
             return container
 
-        ctx.claim(comp, path, "squat", build)
+        ctx.claim(comp, path, build)
 
     squatter = GeneratorComponent(
         id="Squatter",
@@ -550,6 +550,40 @@ def test_generate_refuses_a_claim_inside_the_cache_map_before_touching_out(tmp_p
     assert _file_stats(out_dir) == before
     assert "'gencache.map/x.oo'" in err and "'Squatter'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vsp", "out", "shop.cdl"]
+
+
+@pytest.mark.parametrize("arg", [["x"], ("x", ({"x": 1},))], ids=["top", "nested"])
+def test_generate_refuses_a_claim_argument_that_is_not_plain_data(tmp_path, monkeypatch, arg):
+    """A builder argument other than a str, int, bool, None or tuple of these
+    stops the run in the declare stage, and the old output keeps every file."""
+    vsp = write_variant(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run("generate", "--incremental", "-s", str(vsp))[0] == EXIT_OK
+    cold = read_tree(out_dir)
+    before = _file_stats(out_dir)
+
+    def declare_odd(ctx, comp):
+        ctx.claim(comp, "Odd.oo", ArtifactContainer, "Odd.oo", comp.id, arg)
+
+    odd = GeneratorComponent(
+        id="Odd",
+        version="1.0.0",
+        kind="back_end",
+        realizes=frozenset(),
+        interface=ComponentInterface(),
+        behaviors=(Behavior("declare_odd", TRUE, declare_odd),),
+    )
+    monkeypatch.setattr(
+        genline.cli,
+        "build_reference_registry",
+        lambda model: build_registry([*reference_components(), odd], model),
+    )
+    write_variant(tmp_path, cdl=EDITED_CDL)
+    code, out, err = run("generate", "--incremental", "-s", str(vsp))
+    assert (code, out) == (EXIT_GENERATION, "")
+    assert "component 'Odd' claims 'Odd.oo' with builder arguments" in err
+    assert read_tree(out_dir) == cold
+    assert _file_stats(out_dir) == before
 
 
 @pytest.mark.parametrize("rerun", [(), ("--incremental",)], ids=["plain", "incremental"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genline.classdiagram import ClassDiagram, canonical_type_text, parse_class_diagram
+from genline.classdiagram import ClassDecl, ClassDiagram, parse_class_diagram
 from genline.components import (
     FACT_TOPICS,
     Behavior,
@@ -251,9 +251,9 @@ def _declaring(*components: GeneratorComponent) -> GenContext:
 def test_a_claim_by_another_component_names_both():
     first, second = _mk("First"), _mk("Second")
     ctx = _declaring(first, second)
-    ctx.claim(first, "A.oo", "a", lambda: _unit("A.oo", "First"))
+    ctx.claim(first, "A.oo", _unit, "A.oo", "First")
     with pytest.raises(ClaimConflictError) as err:
-        ctx.claim(second, "A.oo", "a", lambda: _unit("A.oo", "Second"))
+        ctx.claim(second, "A.oo", _unit, "A.oo", "Second")
     assert (err.value.path, err.value.holder, err.value.claimant) == ("A.oo", "First", "Second")
     assert "First" in str(err.value) and "Second" in str(err.value)
     claimed = ctx.board.query("artifact.claimed")
@@ -284,7 +284,7 @@ def test_claim_path_rule_matches_the_pure_path_rule(path):
     comp = _mk("C")
     ctx = _declaring(comp)
     try:
-        ctx.claim(comp, path, "p", lambda: _unit(path, "C"))
+        ctx.claim(comp, path, _unit, path, "C")
     except EngineError as exc:
         assert repr(path) in str(exc)
         assert "artifact path must be relative" in str(exc) or "a file of the engine" in str(exc)
@@ -306,9 +306,9 @@ def test_claim_path_rule_matches_the_pure_path_rule(path):
 def test_nested_claims_are_refused_in_either_order(first, second):
     one, two = _mk("First"), _mk("Second")
     ctx = _declaring(one, two)
-    ctx.claim(one, first, "a", lambda: _unit(first, "First"))
+    ctx.claim(one, first, _unit, first, "First")
     with pytest.raises(EngineError) as err:
-        ctx.claim(two, second, "b", lambda: _unit(second, "Second"))
+        ctx.claim(two, second, _unit, second, "Second")
     for name in (repr(first), repr(second), "'First'", "'Second'"):
         assert name in str(err.value)
     assert list(ctx.claim_meta) == [first]
@@ -319,7 +319,7 @@ def test_a_claim_inside_an_engine_file_is_refused(path):
     comp = _mk("C")
     ctx = _declaring(comp)
     with pytest.raises(EngineError) as err:
-        ctx.claim(comp, path, "p", lambda: _unit(path, "C"))
+        ctx.claim(comp, path, _unit, path, "C")
     folder = path.partition("/")[0]
     for name in (repr(path), repr(folder), "'C'", "the engine"):
         assert name in str(err.value)
@@ -458,7 +458,7 @@ def test_syntax_gate_reports_the_position_check_unit_finds(tmp_path):
     assert (error.line, error.column) == (3, 1)
 
     def declare(ctx, comp):
-        ctx.claim(comp, "B.oo", "b", lambda: bad)
+        ctx.claim(comp, "B.oo", lambda: bad)
 
     comp = _mk("C", (Behavior("declare_b", TRUE, declare),))
     spec = make_spec(("CD2Java",), tmp_path / "out")
@@ -629,7 +629,7 @@ def test_generate_minimal_component(tmp_path):
             container.append("class A {\n}\n")
             return container
 
-        ctx.claim(comp, "A.oo", "unit/A", build)
+        ctx.claim(comp, "A.oo", build)
 
     comp = _mk("Simple", (Behavior("declare_a", TRUE, declare),))
     out = tmp_path / "out"
@@ -703,7 +703,7 @@ def test_generate_restrict_failure_writes_nothing(tmp_path):
 
 def test_generate_claim_conflict_names_both(tmp_path):
     def declare(ctx, comp):
-        ctx.claim(comp, "Person.oo", "squat", lambda: _unit("Person.oo", comp.id))
+        ctx.claim(comp, "Person.oo", _unit, "Person.oo", comp.id)
 
     squatter = _mk("Squatter", (Behavior("declare_squat", TRUE, declare),))
     components = list(compose_reference(FULL_GEN).components) + [squatter]
@@ -736,7 +736,7 @@ def test_generate_syntax_gate_preserves_previous_output(tmp_path):
 
 def test_generate_hook_failure_blocks_output(tmp_path):
     def declare(ctx, comp):
-        ctx.claim(comp, "A.oo", "a", lambda: _unit("A.oo", comp.id))
+        ctx.claim(comp, "A.oo", _unit, "A.oo", comp.id)
         ctx.publish(comp, "hook.required", "MissingProvider")
 
     comp = _mk(
@@ -777,12 +777,12 @@ def test_phase_discipline_is_enforced(tmp_path, misuse):
     def declare(ctx, comp):
         def build():
             if misuse == "claim":
-                ctx.claim(comp, "B.oo", "b", lambda: _unit("B.oo", comp.id))
+                ctx.claim(comp, "B.oo", _unit, "B.oo", comp.id)
             else:
                 ctx.publish(comp, "method.generated", "A.f")
             return _unit("A.oo", comp.id)
 
-        ctx.claim(comp, "A.oo", "a", build)
+        ctx.claim(comp, "A.oo", build)
 
     comp = _mk(
         "Bad", (Behavior("declare_a", TRUE, declare),), produces=("method.generated",)
@@ -796,7 +796,7 @@ def test_phase_discipline_is_enforced(tmp_path, misuse):
 @pytest.mark.parametrize("built", [("B.oo", "Owner"), ("A.oo", "SomeoneElse")])
 def test_a_builder_must_return_its_claims_container(tmp_path, built):
     def declare(ctx, comp):
-        ctx.claim(comp, "A.oo", "a", lambda: _unit(*built))
+        ctx.claim(comp, "A.oo", _unit, *built)
 
     comp = _mk("Owner", (Behavior("declare_a", TRUE, declare),))
     out = tmp_path / "o"
@@ -811,7 +811,7 @@ def test_a_path_claimed_twice_by_one_component_is_refused(tmp_path):
 
     def declare(ctx, comp):
         for text in ("first", "second"):
-            ctx.claim(comp, "A.oo", "a", lambda t=text: built.append(t) or _unit("A.oo", comp.id))
+            ctx.claim(comp, "A.oo", lambda t: built.append(t) or _unit("A.oo", comp.id), text)
 
     comp = _mk("Owner", (Behavior("declare_a", TRUE, declare),))
     out = tmp_path / "o"
@@ -846,7 +846,7 @@ def test_claim_paths_stay_inside_the_output(tmp_path, claimed):
     path = claimed.format(tmp=tmp_path)
 
     def declare(ctx, comp):
-        ctx.claim(comp, path, "hostile", lambda: _unit(path, comp.id))
+        ctx.claim(comp, path, _unit, path, comp.id)
 
     hostile = _mk("Hostile", (Behavior("declare_h", TRUE, declare),))
     composed = compose_reference(FULL_GEN)
@@ -860,7 +860,7 @@ def test_claim_paths_stay_inside_the_output(tmp_path, claimed):
 
 def test_publish_requires_declared_topic(tmp_path):
     def declare(ctx, comp):
-        ctx.claim(comp, "A.oo", "a", lambda: _unit("A.oo", comp.id))
+        ctx.claim(comp, "A.oo", _unit, "A.oo", comp.id)
         ctx.publish(comp, "method.generated", "A.f")
 
     comp = _mk("Undeclared", (Behavior("declare_a", TRUE, declare),))
@@ -882,53 +882,53 @@ def _pipeline(tmp_path, source=SMALL_CDL, config=FULL_GEN, **spec_kwargs):
 _PINNED_CACHE = {
     "generation_time": {
         "Person.oo": (
-            "8bcea87aed9974d71488464c94133fa51bcf787dadb095d712eb46cde36d86fa",
+            "29528d47b6f886c9ae29b6dcfa367b1414a6f68ca49d2ad40935f81b4e735a07",
             "9a72935514fff2a6e6d3b21a4d0443de89240321fb67125c57c1419e7502a7c6",
         ),
         "PersonBuilder.oo": (
-            "beaae0ed1f7a17444ebf9b5af6319fec12ee7597ecba480ac48314cd4c625ac1",
+            "a07d1787b432ccc922787efd1fa8a05fdb60b889a1a2e2869549e525701d15d4",
             "c6d029255c4684c6179f4163818692e554357d71d3e7c87f88f5caf9e31a9ee1",
         ),
         "Receipt.oo": (
-            "1fe378a1d6a1cf21106e1f248f77b7132a0dbe9d8eaefa2cf5e4447304049c95",
+            "bb73078f400dccc29cfffba02b18c8d5140ff8e87f71f404cf7b3eb2b3f9417b",
             "0bb8e1d4da2752c266b99b252555ca0d9cd3ea32d75c0d7274de05af5403ed20",
         ),
         "ReceiptBuilder.oo": (
-            "af0e387df9793529bc10a467fee31013fb998abaad36622de6acc321b5045b88",
+            "081b61a20b33d03f0d3a0f5b9e1dac7a33eea7968fcd3b523d0d18123ba567be",
             "5e3f6659e12124a13da58df34a0bb10dad01df544d76814f36a7b127b7137a2f",
         ),
         "ShopFactory.oo": (
-            "1626def390eac5dc11a326dd9f9d67fd0ebdc30c7763b447363c1945edb742a5",
+            "b0cca5541d2edd40c9244dc3cdb8d97d454452099ca241ba8acd85f0b02f641c",
             "7b10555f79516a4f79389c9f1a3aeeec3a57674c19b522d3f324aa0455308409",
         ),
     },
     "hybrid": {
         "Person.oo": (
-            "a313775bf5bd4b57dbab94ac075b34c3903c8652f252ac66f68f6521d21cb477",
+            "29528d47b6f886c9ae29b6dcfa367b1414a6f68ca49d2ad40935f81b4e735a07",
             "9a72935514fff2a6e6d3b21a4d0443de89240321fb67125c57c1419e7502a7c6",
         ),
         "PersonBuilder.oo": (
-            "b4a109d7df6a1280c01de8ae0b180c39baf83513a88d7428741567459b70c3fc",
+            "a07d1787b432ccc922787efd1fa8a05fdb60b889a1a2e2869549e525701d15d4",
             "c6d029255c4684c6179f4163818692e554357d71d3e7c87f88f5caf9e31a9ee1",
         ),
         "PersonProvider.oo": (
-            "029335e3169a3088c1068fd64f8ecbbe93d1301c7f77c24f0a4db48c983d4a73",
+            "c63d10fa1a129eb544a0836f10183e7df0b6e8eabfe5334cd0a1c515545c9e14",
             "6ad55edf26491fc4b6dc54c79ca5ff50460e86b4a07373adcf3c09b3e3123e2e",
         ),
         "Receipt.oo": (
-            "b6644c403763657f1969934198b99c2e0e024d2eb641e76dbbaf08346b2c9a85",
+            "bb73078f400dccc29cfffba02b18c8d5140ff8e87f71f404cf7b3eb2b3f9417b",
             "0bb8e1d4da2752c266b99b252555ca0d9cd3ea32d75c0d7274de05af5403ed20",
         ),
         "ReceiptBuilder.oo": (
-            "ec6814a22df00bc47d6cb5a35ca404711cf3de664348b4ccf12554c83a3bd096",
+            "081b61a20b33d03f0d3a0f5b9e1dac7a33eea7968fcd3b523d0d18123ba567be",
             "5e3f6659e12124a13da58df34a0bb10dad01df544d76814f36a7b127b7137a2f",
         ),
         "ReceiptProvider.oo": (
-            "2dc5207a4def4849df76a5235330e3fd584d1b4b406822a3466ea0e65481be8b",
+            "7f055bddc5d6b54eeb3d9256ee9a8a99d7982b6bb356e30b45449a927ce58208",
             "65592383423389fa635ffe6a8bd503659e4c0d9e42b61d7a458c173e41298e0a",
         ),
         "ShopFactory.oo": (
-            "e70524702e0fd219b09549f92fcd8e9fb88967dd62ae07ed7e96b4b8ef643444",
+            "b0cca5541d2edd40c9244dc3cdb8d97d454452099ca241ba8acd85f0b02f641c",
             "7b10555f79516a4f79389c9f1a3aeeec3a57674c19b522d3f324aa0455308409",
         ),
     },
@@ -937,8 +937,10 @@ _PINNED_CACHE = {
 
 @pytest.mark.parametrize("mode", sorted(_PINNED_CACHE))
 def test_gencache_map_is_pinned(tmp_path, mode):
-    """A change to the key material (element, component, mode, options, vps,
-    consumed facts) would turn every old cache entry into a miss."""
+    """A key is the digest of the claiming component's id@version and its
+    builder's arguments; a change to how that digest is taken would turn every
+    old cache entry into a miss. A claim whose builder does not read the mode
+    has the same key in both modes."""
     composed, diagram, spec = _pipeline(tmp_path, mode=mode)
     report, cache = incremental_generate(composed, diagram, spec, GenCache())
     assert report.ok
@@ -1027,14 +1029,82 @@ def test_incremental_vp_change_regenerates_only_factory(tmp_path):
     assert "makePerson" in (tmp_path / "out" / "ShopFactory.oo").read_text()
 
 
-def test_incremental_mode_change_misses_everything(tmp_path):
+def test_incremental_mode_change_builds_only_what_reads_the_mode(tmp_path):
+    # Only the factory's arguments (which classes delegate) and the providers
+    # depend on the mode; the classes and builders are hits.
     composed, diagram, spec = _pipeline(tmp_path)
     _, cache = incremental_generate(composed, diagram, spec, GenCache())
     respec = make_spec(FULL_GEN, tmp_path / "out", mode="run_time")
     report, _ = incremental_generate(composed, diagram, respec, cache)
     assert report.ok
-    assert report.skipped_cache_hits == ()
-    assert "PersonProvider.oo" in report.written
+    assert report.written == ("PersonProvider.oo", "ReceiptProvider.oo", "ShopFactory.oo")
+    assert report.skipped_cache_hits == (
+        "Person.oo", "PersonBuilder.oo", "Receipt.oo", "ReceiptBuilder.oo"
+    )
+    cold_spec = make_spec(FULL_GEN, tmp_path / "cold", mode="run_time")
+    assert generate(composed, diagram, cold_spec).ok
+    assert read_tree(respec.output_path) == read_tree(cold_spec.output_path)
+
+
+def test_incremental_tag_change_builds_only_what_reads_the_tag(tmp_path):
+    # In hybrid mode <<external>> decides only whether the factory delegates
+    # Person to its provider; neither Person.oo nor PersonBuilder.oo reads it.
+    composed, diagram, spec = _pipeline(tmp_path, mode="hybrid")
+    _, cache = incremental_generate(composed, diagram, spec, GenCache())
+    tagged = parse_class_diagram(SMALL_CDL.replace("class Person", "<<external>> class Person"))
+    report, _ = incremental_generate(composed, tagged, spec, cache)
+    assert report.ok
+    assert report.written == ("ShopFactory.oo",)
+    assert len(report.skipped_cache_hits) == 6
+    cold_spec = make_spec(FULL_GEN, tmp_path / "cold", mode="hybrid")
+    assert generate(composed, tagged, cold_spec).ok
+    assert read_tree(spec.output_path) == read_tree(cold_spec.output_path)
+
+
+def test_an_enum_turned_interface_of_one_name_is_rebuilt(tmp_path):
+    # Both builders take (diagram name, type name, members) for one path; the key,
+    # which does not name the builder, must still tell them apart.
+    config = (*FULL_GEN, "Enum", "Interface")
+    source = SMALL_CDL[:-2] + "  enum Kind { A }\n}\n"
+    composed, diagram, spec = _pipeline(tmp_path, source=source, config=config)
+    _, cache = incremental_generate(composed, diagram, spec, GenCache())
+    turned = parse_class_diagram(source.replace("enum Kind { A }", "interface Kind { A(): int; }"))
+    report, _ = incremental_generate(composed, turned, spec, cache)
+    assert report.written == ("Kind.oo",)
+    cold_spec = make_spec(config, tmp_path / "cold")
+    assert generate(composed, turned, cold_spec).ok
+    assert read_tree(spec.output_path) == read_tree(cold_spec.output_path)
+
+
+@pytest.mark.parametrize(
+    "arg",
+    [[1], {"a": 1}, {1}, frozenset({1}), 1.5, ClassDecl("A")],
+    ids=["list", "dict", "set", "frozenset", "float", "ClassDecl"],
+)
+@pytest.mark.parametrize("nested", [False, True], ids=["top", "nested"])
+def test_a_claim_argument_that_is_not_plain_data_is_refused(tmp_path, arg, nested):
+    # A key is the repr of the arguments: a set or dict would make it depend on
+    # the hash seed, an AST node on source positions.
+    def declare(ctx, comp):
+        ctx.claim(comp, "A.oo", _unit, "A.oo", comp.id, ("x", (1, arg)) if nested else arg)
+
+    comp = _mk("Odd", (Behavior("declare_a", TRUE, declare),))
+    out = tmp_path / "o"
+    with pytest.raises(EngineError, match="component 'Odd' claims 'A.oo' with builder arguments"):
+        generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), out))
+    assert not out.exists()
+
+
+def test_plain_claim_arguments_reach_the_builder(tmp_path):
+    args = ("text", -3, True, None, (("a", 1), (), (False, (None,))))
+    received = []
+
+    def declare(ctx, comp):
+        ctx.claim(comp, "A.oo", lambda *a: received.append(a) or _unit("A.oo", comp.id), *args)
+
+    comp = _mk("Plain", (Behavior("declare_a", TRUE, declare),))
+    assert generate(compose_all([comp]), EMPTY_DIAGRAM, make_spec(("CD2Java",), tmp_path / "o")).ok
+    assert received == [args]
 
 
 def test_incremental_detects_tampered_and_missing_outputs(tmp_path):
@@ -1115,12 +1185,7 @@ def test_incremental_reuses_artifacts_in_subdirectories(tmp_path):
 
     def declare(ctx, comp):
         for path, body in bodies.items():
-            ctx.claim(
-                comp,
-                path,
-                f"unit/{body}",
-                lambda p=path, b=body: _unit(p, comp.id, "package P;\n" + b),
-            )
+            ctx.claim(comp, path, _unit, path, comp.id, "package P;\n" + body)
 
     comp = _mk("Nested", (Behavior("declare_n", TRUE, declare),))
     composed = compose_all([comp])
@@ -1150,13 +1215,12 @@ def test_builders_run_only_for_misses(tmp_path):
 
     def declare(ctx, comp):
         for cls in ctx.diagram.classes():
-            def build(cls=cls):
-                built.append(f"{cls.name}.oo")
-                fields = "".join(f"  {a.type_name} {a.name};\n" for a in cls.attributes)
-                text = f"package P;\nclass {cls.name} {{\n{fields}}}\n"
-                return _unit(f"{cls.name}.oo", comp.id, text)
+            fields = "".join(f"  {a.type_name} {a.name};\n" for a in cls.attributes)
+            ctx.claim(comp, f"{cls.name}.oo", build, cls.name, fields)
 
-            ctx.claim(comp, f"{cls.name}.oo", canonical_type_text(cls), build)
+    def build(name, fields):
+        built.append(f"{name}.oo")
+        return _unit(f"{name}.oo", "Counted", f"package P;\nclass {name} {{\n{fields}}}\n")
 
     composed = compose_all([_mk("Counted", (Behavior("declare_c", TRUE, declare),))])
     spec = make_spec(("CD2Java",), tmp_path / "out")
@@ -1282,6 +1346,30 @@ def test_run_digest_repeats_across_hash_seeds():
         digests.add(result.stdout.strip())
     assert len(digests) == 1
     assert len(digests.pop()) == 64
+
+
+def test_cache_keys_repeat_across_hash_seeds(tmp_path):
+    # Two fresh outputs of one variant under two hash seeds get the same cache
+    # map, but for the stat digest ending the run line: it records inodes and mtimes.
+    root = Path(__file__).resolve().parents[1]
+    maps = []
+    for hash_seed in ("1", "2"):
+        folder = tmp_path / hash_seed
+        folder.mkdir()
+        for name in ("shop.cdl", "shop.vsp"):
+            (folder / name).write_bytes((root / "samples" / name).read_bytes())
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "genline.cli", "generate", "--incremental",
+             "-s", str(folder / "shop.vsp")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        text = (folder / "generated" / "gencache.map").read_text()
+        assert text.splitlines()[-1].startswith("run ")
+        maps.append(text.rpartition(" ")[0])
+    assert maps[0] == maps[1]
+    assert maps[0].count("\n") == 11  # one line per artifact
 
 
 def test_run_digest_covers_every_input(tmp_path):

@@ -22,6 +22,7 @@ from genline.reference import (
     provider_artifact,
     reference_components,
 )
+from genline.reference import _factory_classes
 
 from helpers import (
     ALL_FEATURES,
@@ -38,14 +39,7 @@ FULL = frozenset(ALL_FEATURES)
 HYBRID_GEN = ("CD2Java", "Types", "Class", "DefaultConstructor", "Factory")
 
 
-def _person():
-    return parse_class_diagram(
-        "classdiagram Shop { class Person { name: string; age: int; } }"
-    ).classes()[0]
-
-
-def _ctor_fact(name="Person"):
-    return (Fact.make("constructor.generated", "Types", name),)
+PERSON_ATTRIBUTES = (("name", "string"), ("age", "int"))
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +96,7 @@ def test_restrict_diagram_helper_satisfies_guards():
 # Emitters
 
 def test_class_artifact_variants():
-    person = _person()
-    options = {"default_constructor": True}
-    vps = {"constructor_body": ""}
-    text = class_artifact("Shop", person, options, vps).content()
+    text = class_artifact("Shop", "Person", None, (), PERSON_ATTRIBUTES, "").content()
     assert text == (
         "package Shop;\n"
         "class Person {\n"
@@ -114,10 +105,10 @@ def test_class_artifact_variants():
         "  Person() { }\n"
         "}\n"
     )
-    without = class_artifact("Shop", person, {"default_constructor": False}, vps).content()
+    without = class_artifact("Shop", "Person", None, (), PERSON_ATTRIBUTES, None).content()
     assert "Person()" not in without
     seeded = class_artifact(
-        "Shop", person, options, {"constructor_body": " name = unknown;"}
+        "Shop", "Person", None, (), PERSON_ATTRIBUTES, " name = unknown;"
     ).content()
     assert "  Person() { name = unknown; }\n" in seeded
 
@@ -125,21 +116,25 @@ def test_class_artifact_variants():
 def test_class_artifact_header_and_features():
     diagram = covering_diagram()
     manager = diagram.classes()[2]
-    container = class_artifact("Shop", manager, {"default_constructor": False}, {"constructor_body": ""})
+    attributes = tuple((a.name, a.type_name) for a in manager.attributes)
+    container = class_artifact(
+        "Shop", manager.name, manager.superclass, manager.interfaces, attributes, None
+    )
     assert "class Manager extends Person implements Printable {\n" in container.content()
     header_region = container.regions[1]
     assert header_region.features == ("Class", "Interface")
 
 
 def test_provider_enum_interface_artifacts():
-    assert provider_artifact("Shop", _person()).content() == (
+    assert provider_artifact("Shop", "Person").content() == (
         "package Shop;\n"
         "interface PersonProvider {\n"
         "  Person provide();\n"
         "}\n"
     )
     diagram = covering_diagram()
-    assert enum_artifact("Shop", diagram.enums()[0]).content() == (
+    (enum,) = diagram.enums()
+    assert enum_artifact("Shop", enum.name, enum.constants).content() == (
         "package Shop;\n"
         "enum Color {\n"
         "  RED,\n"
@@ -147,7 +142,7 @@ def test_provider_enum_interface_artifacts():
         "  BLUE\n"
         "}\n"
     )
-    assert interface_artifact("Shop", diagram.interfaces()[0]).content() == (
+    assert interface_artifact("Shop", "Printable", (("print", "string"),)).content() == (
         "package Shop;\n"
         "interface Printable {\n"
         "  string print();\n"
@@ -156,21 +151,13 @@ def test_provider_enum_interface_artifacts():
 
 
 def test_all_emitters_produce_valid_units(tmp_path):
-    person = _person()
-    diagram = covering_diagram()
     containers = [
-        class_artifact("Shop", person, {"default_constructor": True}, {"constructor_body": ""}),
-        provider_artifact("Shop", person),
-        enum_artifact("Shop", diagram.enums()[0]),
-        interface_artifact("Shop", diagram.interfaces()[0]),
-        builder_emit("Shop", person, _ctor_fact(), {}, {}),
-        factory_emit(
-            parse_class_diagram("classdiagram Shop { class Person { name: string; } }"),
-            (Fact.make("type.generated", "Types", "Person", {"kind": "class", "tags": ""}),),
-            {},
-            {"factory_method_prefix": "create%s"},
-            "run_time",
-        ),
+        class_artifact("Shop", "Person", None, (), PERSON_ATTRIBUTES, ""),
+        provider_artifact("Shop", "Person"),
+        enum_artifact("Shop", "Color", ("RED", "GREEN", "BLUE")),
+        interface_artifact("Shop", "Printable", (("print", "string"),)),
+        builder_emit("Shop", "Person", PERSON_ATTRIBUTES, True),
+        factory_emit("Shop", "create%s", (("Person", True),)),
     ]
     texts = {container.path: container.content() for container in containers}
     # Everything the reference line generates for the covering diagram, in
@@ -188,7 +175,7 @@ def test_all_emitters_produce_valid_units(tmp_path):
 
 def test_a_builder_without_a_constructor_fact_stops_the_run(tmp_path):
     with pytest.raises(EngineError, match="needs a constructor.generated fact"):
-        builder_emit("Shop", _person(), (), {}, {})
+        builder_emit("Shop", "Person", PERSON_ATTRIBUTES, False)
     # Without DefaultConstructor no constructor fact is published; composition
     # validation would refuse the variant, so call the engine straight.
     selected = frozenset({"CD2Java", "Types", "Class", "Builder"})
@@ -200,7 +187,7 @@ def test_a_builder_without_a_constructor_fact_stops_the_run(tmp_path):
 
 
 def test_builder_emit_golden():
-    text = builder_emit("Shop", _person(), _ctor_fact(), {}, {}).content()
+    text = builder_emit("Shop", "Person", PERSON_ATTRIBUTES, True).content()
     assert text == (
         "package Shop;\n"
         "class PersonBuilder {\n"
@@ -215,7 +202,7 @@ def test_builder_emit_golden():
 
 def test_builder_emit_requires_constructor_fact():
     with pytest.raises(EngineError, match="constructor.generated"):
-        builder_emit("Shop", _person(), (), {}, {})
+        builder_emit("Shop", "Person", PERSON_ATTRIBUTES, False)
 
 
 def _factory_facts():
@@ -227,11 +214,10 @@ def _factory_facts():
 
 
 def test_factory_emit_modes():
-    diagram = parse_class_diagram(
-        "classdiagram Shop { <<external>> class Person { name: string; } class Receipt { total: int; } }"
-    )
-    vps = {"factory_method_prefix": "create%s"}
-    direct = factory_emit(diagram, _factory_facts(), {}, vps, "generation_time").content()
+    def emit(mode):
+        return factory_emit("Shop", "create%s", _factory_classes(_factory_facts(), mode))
+
+    direct = emit("generation_time").content()
     assert direct == (
         "package Shop;\n"
         "class ShopFactory {\n"
@@ -239,7 +225,7 @@ def test_factory_emit_modes():
         "  Receipt createReceipt() { return new Receipt(); }\n"
         "}\n"
     )
-    late = factory_emit(diagram, _factory_facts(), {}, vps, "run_time").content()
+    late = emit("run_time").content()
     assert late == (
         "package Shop;\n"
         "class ShopFactory {\n"
@@ -250,7 +236,7 @@ def test_factory_emit_modes():
         "}\n"
     )
     # Hybrid delegates exactly the external-tagged classes.
-    mixed = factory_emit(diagram, _factory_facts(), {}, vps, "hybrid").content()
+    mixed = emit("hybrid").content()
     assert mixed == (
         "package Shop;\n"
         "class ShopFactory {\n"
@@ -262,9 +248,7 @@ def test_factory_emit_modes():
 
 
 def test_factory_emit_respects_prefix_pattern():
-    diagram = parse_class_diagram("classdiagram Shop { class Person { name: string; } }")
-    facts = (Fact.make("type.generated", "Types", "Person", {"kind": "class", "tags": ""}),)
-    text = factory_emit(diagram, facts, {}, {"factory_method_prefix": "newFor%s"}, "generation_time").content()
+    text = factory_emit("Shop", "newFor%s", (("Person", False),)).content()
     assert "  Person newForPerson() { return new Person(); }\n" in text
 
 
